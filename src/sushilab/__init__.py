@@ -16,8 +16,9 @@ Layers, bottom up:
 * experiment    JSON experiment specs, preset batteries, run manifests
 * cli           the `sushi-lab` command line front end
 
-Everything downstream of a seed is deterministic: reruns and thread-count
-changes reproduce reports byte for byte.
+Everything downstream of a seed is deterministic: reruns reproduce reports
+byte for byte.  Replicates run serially; ``threads`` arguments are accepted
+for compatibility only.
 """
 
 from .windows import (
@@ -26,7 +27,6 @@ from .windows import (
     Window,
     as_rat,
     format_rat,
-    format_window,
     parse_window,
 )
 from .dynamics import (
@@ -65,7 +65,6 @@ from .cluster import (
     ClusterEntry,
     ClusterLaw,
     EncodedCluster,
-    LevyData,
     SushiSpec,
     phi_decode,
     phi_encode,

@@ -9,8 +9,10 @@ Subcommands
   mark            summarize independent mark attachment
   sushi           compare a cluster measure against its closed forms
 
-All JSON output uses sorted keys, so repeated invocations with the same
-arguments are byte-identical.  Exit status for `run` mirrors the manifest:
+The summary subcommands turn their flags into a battery-free experiment
+spec and sample through the same construction plan as `run`.  All JSON
+output uses sorted keys, so repeated invocations with the same arguments
+are byte-identical.  Exit status for `run` mirrors the manifest:
 0 iff every must_pass battery item met its expectation.
 """
 
@@ -22,22 +24,23 @@ import math
 import sys
 from pathlib import Path
 
-from .cluster import SushiSpec, sushi_mean, sushi_variance, unit_intensity_c
+from .cluster import sushi_mean, sushi_variance, unit_intensity_c
 from .experiment import (
     BATTERY_PRESETS,
     ExperimentSpec,
+    _build_plan,
+    _dump_realization,
     list_presets,
-    parse_law,
     preset_spec,
     resolve_transformation,
     run,
 )
 from .dynamics import orbit
 from .moments import replicate_matrix
-from .point_process import Rng, count, dump_csv, sample_poisson
-from .split_mark import attach_marks, bernoulli_split, project_mark_set, separation_thin
+from .point_process import Rng, count
+from .split_mark import project_mark_set
 from .stats import correlation_check, dispersion_index_test
-from .windows import IntensitySpec, as_rat, format_rat, format_window, parse_window
+from .windows import as_rat, format_rat
 
 __all__ = ["main"]
 
@@ -51,21 +54,9 @@ def _report_brief(rep) -> dict:
             "statistic": rep.statistic}
 
 
-def _parse_probs(text: str) -> list:
-    return [as_rat(p) for p in text.split(",")]
-
-
-def _load_law(text: str):
-    path = Path(text)
-    if path.exists():
-        text = path.read_text()
-    return parse_law(json.loads(text))
-
-
-def _resolve_T(text: str):
-    if text.strip().startswith("{"):
-        return resolve_transformation(json.loads(text))
-    return resolve_transformation(text)
+def _json_or_text(text: str):
+    """A JSON object literal parsed, anything else as the plain string."""
+    return json.loads(text) if text.strip().startswith("{") else text
 
 
 def _cmd_run(args) -> int:
@@ -78,8 +69,7 @@ def _cmd_run(args) -> int:
         raise ValueError(
             f"{args.spec!r} is neither a spec file nor a battery preset"
         )
-    manifest = run(spec, threads=args.threads, out_dir=args.out,
-                   write_raw=args.raw)
+    manifest = run(spec, out_dir=args.out, write_raw=args.raw)
     for rep in manifest.reports:
         print(f"{rep.decision:7s} p={rep.p_value:<12.6g} {rep.name}")
     print(f"spec_hash: {manifest.spec_hash}")
@@ -96,7 +86,7 @@ def _cmd_presets(_args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    T = _resolve_T(args.transformation)
+    T = resolve_transformation(_json_or_text(args.transformation))
     rows = orbit(T, as_rat(args.x), args.k, max_stage=args.max_stage)
     print("k,x_k")
     for j, y in rows:
@@ -104,162 +94,138 @@ def _cmd_orbit(args) -> int:
     return 0
 
 
-def _mass_matrix(sampler, evaluate, width, R, seed, threads):
-    return replicate_matrix(sampler, evaluate, width, R, Rng(seed, 1), threads)
+def _summary_spec(args, construction: str, params: dict,
+                  transformation="translation"):
+    """The battery-free experiment spec a summary subcommand's flags name,
+    with its construction plan."""
+    spec = ExperimentSpec.from_dict({
+        "name": args.command,
+        "transformation": transformation,
+        "intensity": args.intensity,
+        "window": args.window,
+        "construction": construction,
+        "params": params,
+        "replicates": args.replicates,
+        "seed": args.seed,
+        "battery": [],
+    })
+    return spec, _build_plan(spec)
+
+
+def _summary_matrix(spec, plan, evaluate, width: int):
+    """Replicate matrix on Rng(seed, 1), the stream of battery item 0."""
+    return replicate_matrix(plan.sample, evaluate, width, spec.replicates,
+                            Rng(spec.seed, 1))
+
+
+def _finish(summary: dict, spec, plan, out) -> int:
+    """Print the summary; with --out, write the seeded realization as
+    ``run --out`` writes it under raw/."""
+    _emit(summary)
+    if out:
+        path = Path(out)
+        path.mkdir(parents=True, exist_ok=True)
+        _dump_realization(plan, spec, path)
+    return 0
 
 
 def _cmd_split(args) -> int:
-    alpha = IntensitySpec(as_rat(args.intensity))
-    W = parse_window(args.window)
-    probs = _parse_probs(args.probs)
-    if any(p < 0 for p in probs) or sum(probs) != 1:
-        raise ValueError("probs must be nonnegative and sum to 1")
-    sampler = lambda rng: bernoulli_split(sample_poisson(alpha, W, rng),
-                                          probs, rng)
-    evaluate = lambda comps: [float(count(c, W)) for c in comps]
-    mat = _mass_matrix(sampler, evaluate, len(probs), args.replicates,
-                       args.seed, args.threads)
+    spec, plan = _summary_spec(args, "split", {"probs": args.probs.split(",")})
+    W, probs, alpha = plan.observed, plan.probs, spec.intensity.alpha
+    mat = _summary_matrix(spec, plan,
+                          lambda comps: [float(count(c, W)) for c in comps],
+                          len(probs))
     length = float(W.length)
     summary = {
-        "window": format_window(W),
-        "intensity": format_rat(alpha.alpha),
+        "window": str(W),
+        "intensity": format_rat(alpha),
         "probs": [format_rat(p) for p in probs],
-        "replicates": args.replicates,
-        "seed": args.seed,
+        "replicates": spec.replicates,
+        "seed": spec.seed,
         "component_rates": [float(c) / length for c in mat.mean(axis=0)],
-        "target_rates": [float(alpha.alpha * p) for p in probs],
+        "target_rates": [float(alpha * p) for p in probs],
     }
     if len(probs) >= 2:
         summary["cross_correlation"] = _report_brief(
             correlation_check(mat[:, 0], mat[:, 1]))
-    _emit(summary)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        comps = sampler(Rng(args.seed, 0))
-        for j, comp in enumerate(comps):
-            with (out / f"component{j}.csv").open("w") as fh:
-                dump_csv(comp, fh, seed=args.seed, stream_id=0, intensity=alpha)
-    return 0
+    return _finish(summary, spec, plan, args.out)
 
 
 def _cmd_thin(args) -> int:
-    alpha = IntensitySpec(as_rat(args.intensity))
-    W = parse_window(args.window)
-    kappa = as_rat(args.kappa)
-    core = W.shrink(kappa)
-    if core.is_empty:
-        raise ValueError("window lacks the kappa-buffer (core is empty)")
-    sampler = lambda rng: separation_thin(sample_poisson(alpha, W, rng), kappa)
-    evaluate = lambda c: [float(count(c, core))]
-    mat = _mass_matrix(sampler, evaluate, 1, args.replicates, args.seed,
-                       args.threads)
+    spec, plan = _summary_spec(args, "thin", {"kappa": args.kappa})
+    core, alpha = plan.observed, spec.intensity.alpha
+    mat = _summary_matrix(spec, plan, lambda c: [float(count(c, core))], 1)
     counts = mat[:, 0].astype(int)
-    a = float(alpha.alpha)
+    a = float(alpha)
     summary = {
-        "window": format_window(W),
-        "core": format_window(core),
-        "kappa": format_rat(kappa),
-        "intensity": format_rat(alpha.alpha),
-        "replicates": args.replicates,
-        "seed": args.seed,
+        "window": str(spec.window),
+        "core": str(core),
+        "kappa": format_rat(plan.kappa),
+        "intensity": format_rat(alpha),
+        "replicates": spec.replicates,
+        "seed": spec.seed,
         "kept_rate": float(counts.mean()) / float(core.length),
-        "target_rate": a * math.exp(-2 * float(kappa) * a),
+        "target_rate": a * math.exp(-2 * float(plan.kappa) * a),
         "dispersion": _report_brief(
             dispersion_index_test(counts, alternative="under")),
     }
-    _emit(summary)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        base = sample_poisson(alpha, W, Rng(args.seed, 0))
-        with (out / "input.csv").open("w") as fh:
-            dump_csv(base, fh, seed=args.seed, stream_id=0, intensity=alpha)
-        with (out / "thinned.csv").open("w") as fh:
-            dump_csv(separation_thin(base, kappa), fh, seed=args.seed,
-                     stream_id=0, intensity=alpha)
-    return 0
+    return _finish(summary, spec, plan, args.out)
 
 
 def _cmd_mark(args) -> int:
-    alpha = IntensitySpec(as_rat(args.intensity))
-    W = parse_window(args.window)
-    probs = _parse_probs(args.probs)
-    if any(p < 0 for p in probs) or sum(probs) != 1:
-        raise ValueError("probs must be nonnegative and sum to 1")
-    sampler = lambda rng: attach_marks(sample_poisson(alpha, W, rng),
-                                       probs, rng)
+    spec, plan = _summary_spec(args, "mark",
+                               {"mark_probs": args.probs.split(",")})
+    W, probs, alpha = plan.observed, plan.probs, spec.intensity.alpha
     nmarks = len(probs)
     evaluate = lambda mc: [float(count(project_mark_set(mc, {j}), W))
                            for j in range(nmarks)]
-    mat = _mass_matrix(sampler, evaluate, nmarks, args.replicates, args.seed,
-                       args.threads)
+    mat = _summary_matrix(spec, plan, evaluate, nmarks)
     length = float(W.length)
     summary = {
-        "window": format_window(W),
-        "intensity": format_rat(alpha.alpha),
+        "window": str(W),
+        "intensity": format_rat(alpha),
         "mark_probs": [format_rat(p) for p in probs],
-        "replicates": args.replicates,
-        "seed": args.seed,
+        "replicates": spec.replicates,
+        "seed": spec.seed,
         "mark_rates": [float(c) / length for c in mat.mean(axis=0)],
-        "target_rates": [float(alpha.alpha * p) for p in probs],
+        "target_rates": [float(alpha * p) for p in probs],
     }
     if nmarks >= 2:
         summary["cross_correlation"] = _report_brief(
             correlation_check(mat[:, 0], mat[:, 1]))
-    _emit(summary)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        mc = sampler(Rng(args.seed, 0))
-        with (out / "marked.csv").open("w") as fh:
-            fh.write(f"# seed={args.seed} stream_id=0 "
-                     f"window={format_window(mc.window)}\n")
-            fh.write("point,mark\n")
-            for p, mk in mc.atoms:
-                fh.write(f"{format_rat(p)},{mk}\n")
-    return 0
+    return _finish(summary, spec, plan, args.out)
 
 
 def _cmd_sushi(args) -> int:
-    from .cluster import sample_sushi
-
-    law = _load_law(args.law)
-    T = _resolve_T(args.transformation)
-    c = unit_intensity_c(law) if args.c == "unit" else as_rat(args.c)
-    spec = SushiSpec(c, law, T)
-    W = parse_window(args.window)
-    mean = sushi_mean(spec, W)
-    var = sushi_variance(spec, W)
-    sampler = lambda rng: sample_sushi(spec, W, rng)
-    evaluate = lambda v: [float(count(v, W))]
-    mat = _mass_matrix(sampler, evaluate, 1, args.replicates, args.seed,
-                       args.threads)
+    law = Path(args.law).read_text() if Path(args.law).exists() else args.law
+    spec, plan = _summary_spec(args, "sushi",
+                               {"c": args.c, "law": json.loads(law)},
+                               transformation=_json_or_text(args.transformation))
+    W, sspec = plan.observed, plan.sushi
+    mean = sushi_mean(sspec, W)
+    var = sushi_variance(sspec, W)
+    mat = _summary_matrix(spec, plan, lambda v: [float(count(v, W))], 1)
     masses = mat[:, 0]
-    R = args.replicates
+    R = spec.replicates
     emp_mean = float(masses.mean())
     emp_var = float(masses.var(ddof=1))
     se = float(masses.std(ddof=1)) / math.sqrt(R)
     summary = {
-        "transformation": str(T),
-        "window": format_window(W),
-        "c": format_rat(c),
-        "unit_c": format_rat(unit_intensity_c(law)),
+        "transformation": str(plan.T),
+        "window": str(W),
+        "c": format_rat(sspec.c),
+        "unit_c": format_rat(unit_intensity_c(sspec.law)),
         "replicates": R,
-        "seed": args.seed,
+        "seed": spec.seed,
         "closed_form": {"mean": float(mean), "variance": float(var)},
         "empirical": {"mean": emp_mean, "mean_stderr": se,
                       "variance": emp_var},
         "z_mean": 0.0 if se == 0 else (emp_mean - float(mean)) / se,
     }
-    _emit(summary)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        v = sampler(Rng(args.seed, 0))
-        with (out / "realization.csv").open("w") as fh:
-            dump_csv(v, fh, seed=args.seed, stream_id=0)
-    return 0
+    return _finish(summary, spec, plan, args.out)
+
+
+_THREADS_HELP = "accepted for compatibility; replicates run serially"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -271,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute a spec file or battery preset")
     p.add_argument("spec", help="path to a JSON spec, or a preset name")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", default=None, help="directory for artifacts")
     p.add_argument("--raw", action="store_true",
                    help="also write per-replicate CSVs for every item")
@@ -292,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", default=window)
         p.add_argument("--replicates", type=int, default=2000)
         p.add_argument("--seed", type=int, default=20260823)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("split", help="independent splitting summary")

@@ -33,7 +33,6 @@ __all__ = [
     "ClusterEntry",
     "ClusterLaw",
     "SushiSpec",
-    "LevyData",
     "EncodedCluster",
     "sample_sushi",
     "sample_id_measure",
@@ -119,27 +118,6 @@ class SushiSpec:
 
 
 @dataclass(frozen=True)
-class LevyData:
-    """Cluster-form Lévy triple; the drift is identically zero in scope."""
-
-    c: Fraction
-    law: ClusterLaw
-    T: TransformHandle
-    gamma: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", as_rat(self.c))
-        object.__setattr__(self, "gamma", as_rat(self.gamma))
-        if self.gamma != 0:
-            raise ValueError("drift gamma must be zero for point-valued ID measures")
-        if self.c <= 0:
-            raise ValueError("ground intensity scale must be positive")
-
-    def spec(self) -> SushiSpec:
-        return SushiSpec(self.c, self.law, self.T)
-
-
-@dataclass(frozen=True)
 class EncodedCluster:
     """Origin point plus relative weights beta_n = weight at T^n(origin).
 
@@ -211,23 +189,24 @@ def sample_sushi(spec: SushiSpec, core: Window, rng: Rng,
     return _hang_clusters(ground.points, entries, spec.T, core, max_stage)
 
 
-def sample_id_measure(levy: LevyData, core: Window, rng: Rng,
+def sample_id_measure(spec: SushiSpec, core: Window, rng: Rng,
                       max_stage: int = DEFAULT_MAX_STAGE) -> WeightedConfig:
     """Poisson-integral sampler: one independent ground per catalog entry.
 
     The cluster point process on (space x catalog) with intensity
     c x length x prob is sampled entry by entry and integrated; equal in law
-    to :func:`sample_sushi` with the same triple.
+    to :func:`sample_sushi` with the same spec.  The drift of the Lévy triple
+    is zero for point-valued measures, so a SushiSpec is the whole triple.
     """
     acc: dict[Fraction, Fraction] = {}
-    for entry in levy.law.catalog:
+    for entry in spec.law.catalog:
         if entry.prob == 0:
             continue
-        buffer = _cluster_buffer(levy.T, core, (k for k, _ in entry.weights),
+        buffer = _cluster_buffer(spec.T, core, (k for k, _ in entry.weights),
                                  max_stage)
-        ground = sample_poisson(IntensitySpec(levy.c * entry.prob), buffer, rng)
+        ground = sample_poisson(IntensitySpec(spec.c * entry.prob), buffer, rng)
         part = _hang_clusters(ground.points, [entry] * len(ground.points),
-                              levy.T, core, max_stage)
+                              spec.T, core, max_stage)
         for p, w in part.atoms:
             acc[p] = acc.get(p, Fraction(0)) + w
     return WeightedConfig(tuple(sorted(acc.items())), core)

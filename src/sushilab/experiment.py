@@ -4,9 +4,10 @@ A spec names a transformation, an intensity, a sampling window, one
 construction (poisson | split | thin | mark | sushi | id), and a battery
 of named checks.  run() validates everything before sampling, executes
 the battery on deterministic per-item streams, and emits a manifest whose
-content is a pure function of (spec, seed): rerunning, or changing the
-thread count, reproduces every report byte for byte.  Wall time is the
-single manifest field excluded from that contract.
+content is a pure function of (spec, seed): rerunning reproduces every
+report byte for byte.  Wall time is the single manifest field excluded
+from that contract.  Replicates run serially; run() accepts ``threads``
+for compatibility only.
 
 Numbers in spec files use exact rational literals ("3/200") and window
 literals ("[0,1)+[2,3)") so configuration round-trips without float loss.
@@ -29,7 +30,6 @@ import numpy as np
 from .cluster import (
     ClusterEntry,
     ClusterLaw,
-    LevyData,
     SushiSpec,
     phi_decode,
     phi_encode,
@@ -81,7 +81,6 @@ from .windows import (
     Window,
     as_rat,
     format_rat,
-    format_window,
     parse_window,
 )
 
@@ -202,6 +201,14 @@ class ExperimentSpec:
                 )
             if item.get("expect", "pass") not in ("pass", "reject"):
                 raise ValueError(f"battery[{i}]: expect must be pass or reject")
+            for key, parse in _REQUIRED_PARAMS.get(item["test"], {}).items():
+                if key not in item:
+                    raise ValueError(
+                        f"battery[{i}].{key}: required for {item['test']}")
+                try:
+                    parse(item[key])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"battery[{i}].{key}: {exc}") from exc
         replicates = need("replicates", int)
         if replicates < 100:
             raise ValueError("replicates: must be at least 100")
@@ -248,7 +255,6 @@ class _Plan:
     probs: tuple[Fraction, ...] | None = None
     kappa: Fraction | None = None
     sushi: SushiSpec | None = None
-    levy: LevyData | None = None
 
     def mean_mass(self, w: Window) -> float:
         """Expected N(w) under this construction, closed form."""
@@ -311,20 +317,16 @@ def _build_plan(spec: ExperimentSpec) -> _Plan:
             c = as_rat(c_raw)
         try:
             sspec = SushiSpec(c, law, T)
-            levy = LevyData(c, law, T)
         except ValueError as exc:
             raise ValueError(f"params: {exc}") from exc
-        if kind == "sushi":
-            sampler = lambda rng: sample_sushi(sspec, W, rng)
-        else:
-            sampler = lambda rng: sample_id_measure(levy, W, rng)
-        return _Plan(kind, T, IntensitySpec(c), W, W, sampler,
-                     sushi=sspec, levy=levy)
+        sampler = sample_sushi if kind == "sushi" else sample_id_measure
+        return _Plan(kind, T, IntensitySpec(c), W, W,
+                     lambda rng: sampler(sspec, W, rng), sushi=sspec)
     raise ValueError(f"construction: unknown kind {kind}")
 
 
 # ---------------------------------------------------------------------------
-# battery test runners: (plan, spec, item, rng, threads) -> (reports, raw)
+# battery test runners: (plan, spec, item, rng) -> (reports, raw)
 
 RawData = dict[str, np.ndarray]
 
@@ -339,7 +341,20 @@ def _item_window(plan: _Plan, item: Mapping, key: str = "window") -> Window:
     return plan.observed
 
 
-def _mass_vector(plan: _Plan, w: Window, R: int, rng: Rng, threads: int,
+def _parse_windows(texts) -> list[Window]:
+    return [parse_window(t) for t in texts]
+
+
+# Parameters a test cannot run without, each with the parser that must
+# accept it; ExperimentSpec.from_dict checks them before any sampling.
+_REQUIRED_PARAMS: dict[str, dict[str, Callable]] = {
+    "covariance": {"A": parse_window, "B": parse_window},
+    "mixed_moment": {"groupings": lambda gs: [_parse_windows(g) for g in gs]},
+    "cesaro": {"windows": _parse_windows},
+}
+
+
+def _mass_vector(plan: _Plan, w: Window, R: int, rng: Rng,
                  component=None, mark=None) -> np.ndarray:
     def evaluate(out) -> list[float]:
         if component is not None:
@@ -348,10 +363,20 @@ def _mass_vector(plan: _Plan, w: Window, R: int, rng: Rng, threads: int,
             out = project_mark_set(out, {mark})
         return [float(count(out, w))]
 
-    return replicate_matrix(plan.sample, evaluate, 1, R, rng, threads)[:, 0]
+    return replicate_matrix(plan.sample, evaluate, 1, R, rng)[:, 0]
 
 
-def _run_poisson_gof(plan, spec, item, rng, threads):
+def _exact_check(plan, spec, item, rng, name: str, failed) -> TestReport:
+    """Zero-tolerance check: statistic = replicates where failed(sample)
+    holds, p = 1 when there are none, else 0."""
+    R = _item_R(spec, item)
+    nfail = int(replicate_matrix(plan.sample, lambda s: [float(failed(s))],
+                                 1, R, rng)[:, 0].sum())
+    return TestReport(name, float(nfail), 1.0 if nfail == 0 else 0.0,
+                      float(item.get("level", 0.5)), spec.seed, R)
+
+
+def _run_poisson_gof(plan, spec, item, rng):
     w = _item_window(plan, item)
     R = _item_R(spec, item)
     level = float(item.get("level", 0.01))
@@ -362,8 +387,7 @@ def _run_poisson_gof(plan, spec, item, rng, threads):
         counts = count_replicates(plan.intensity, [w], rng, R)[:, 0]
         mean = float(plan.intensity.alpha * w.length)
     else:
-        vec = _mass_vector(plan, w, R, rng, threads,
-                           component=component, mark=mark)
+        vec = _mass_vector(plan, w, R, rng, component=component, mark=mark)
         counts = vec.astype(np.int64)
         if not np.array_equal(vec, counts):
             raise ValueError("poisson_gof: non-integer masses")
@@ -385,11 +409,11 @@ def _run_poisson_gof(plan, spec, item, rng, threads):
     return [rep], {"counts": counts}
 
 
-def _run_intensity(plan, spec, item, rng, threads):
+def _run_intensity(plan, spec, item, rng):
     w = _item_window(plan, item)
     R = _item_R(spec, item)
     level = float(item.get("level", 0.01))
-    masses = _mass_vector(plan, w, R, rng, threads,
+    masses = _mass_vector(plan, w, R, rng,
                           component=item.get("component"),
                           mark=item.get("mark"))
     if "target" in item:
@@ -403,20 +427,19 @@ def _run_intensity(plan, spec, item, rng, threads):
     else:
         target = plan.mean_mass(w)
     se = float(masses.std(ddof=1) / math.sqrt(R))
-    rep = z_test_report(f"intensity[{format_window(w)}]",
+    rep = z_test_report(f"intensity[{w}]",
                         float(masses.mean()), target, se, level,
                         spec.seed, R)
     return [rep], {"masses": masses}
 
 
-def _run_dispersion(plan, spec, item, rng, threads):
+def _run_dispersion(plan, spec, item, rng):
     w = _item_window(plan, item)
     R = _item_R(spec, item)
     level = float(item.get("level", 0.001))
     default_alt = "under" if plan.kind == "thin" else "two-sided"
     alternative = item.get("alternative", default_alt)
-    vec = _mass_vector(plan, w, R, rng, threads,
-                       component=item.get("component"))
+    vec = _mass_vector(plan, w, R, rng, component=item.get("component"))
     counts = vec.astype(np.int64)
     if not np.array_equal(vec, counts):
         raise ValueError("dispersion: non-integer masses")
@@ -425,26 +448,24 @@ def _run_dispersion(plan, spec, item, rng, threads):
     return [rep], {"counts": counts}
 
 
-def _run_covariance(plan, spec, item, rng, threads):
+def _run_covariance(plan, spec, item, rng):
     A = parse_window(item["A"])
     B = parse_window(item["B"])
     R = _item_R(spec, item)
     rep = covariance_check(plan.sample, A, B, plan.intensity, R, rng,
-                           level=float(item.get("level", 0.01)),
-                           threads=threads)
+                           level=float(item.get("level", 0.01)))
     return [rep], {}
 
 
-def _run_mixed_moment(plan, spec, item, rng, threads):
-    groupings = [[parse_window(w) for w in g] for g in item["groupings"]]
+def _run_mixed_moment(plan, spec, item, rng):
+    groupings = [_parse_windows(g) for g in item["groupings"]]
     R = _item_R(spec, item)
     rep = mixed_moment_factorization(plan.sample, groupings, R, rng,
-                                     level=float(item.get("level", 0.01)),
-                                     threads=threads)
+                                     level=float(item.get("level", 0.01)))
     return [rep], {}
 
 
-def _run_cross_correlation(plan, spec, item, rng, threads):
+def _run_cross_correlation(plan, spec, item, rng):
     i, j = item.get("pair", (0, 1))
     w = _item_window(plan, item)
     R = _item_R(spec, item)
@@ -457,55 +478,38 @@ def _run_cross_correlation(plan, spec, item, rng, threads):
                     float(count(project_mark_set(mc, {j}), w))]
     else:
         raise ValueError("cross_correlation: needs split or mark construction")
-    mat = replicate_matrix(plan.sample, evaluate, 2, R, rng, threads)
+    mat = replicate_matrix(plan.sample, evaluate, 2, R, rng)
     rep = correlation_check(mat[:, 0], mat[:, 1],
                             level=float(item.get("level", 0.0027)),
                             name=f"cross_correlation[{i},{j}]", seed=spec.seed)
     return [rep], {"counts_i": mat[:, 0], "counts_j": mat[:, 1]}
 
 
-def _run_dissociation(plan, spec, item, rng, threads):
+def _run_dissociation(plan, spec, item, rng):
     if plan.kind != "split":
         raise ValueError("dissociation: needs the split construction")
     K = int(item.get("K", 8))
-    R = _item_R(spec, item)
     i, j = item.get("pair", (0, 1))
-
-    def evaluate(comps) -> list[float]:
-        ok = dissociation_check(comps[i], comps[j], plan.T, K)
-        return [0.0 if ok else 1.0]
-
-    fails = replicate_matrix(plan.sample, evaluate, 1, R, rng, threads)[:, 0]
-    nfail = int(fails.sum())
-    rep = TestReport(f"dissociation[K={K}]", float(nfail),
-                     1.0 if nfail == 0 else 0.0,
-                     float(item.get("level", 0.5)), spec.seed, R)
+    rep = _exact_check(
+        plan, spec, item, rng, f"dissociation[K={K}]",
+        lambda comps: not dissociation_check(comps[i], comps[j], plan.T, K))
     return [rep], {}
 
 
-def _run_free(plan, spec, item, rng, threads):
+def _run_free(plan, spec, item, rng):
     K = int(item.get("K", 8))
-    R = _item_R(spec, item)
-
-    def evaluate(config) -> list[float]:
-        return [0.0 if free_check(config, plan.T, K) else 1.0]
-
-    fails = replicate_matrix(plan.sample, evaluate, 1, R, rng, threads)[:, 0]
-    nfail = int(fails.sum())
-    rep = TestReport(f"free[K={K}]", float(nfail),
-                     1.0 if nfail == 0 else 0.0,
-                     float(item.get("level", 0.5)), spec.seed, R)
+    rep = _exact_check(plan, spec, item, rng, f"free[K={K}]",
+                       lambda config: not free_check(config, plan.T, K))
     return [rep], {}
 
 
-def _run_moment_fit(plan, spec, item, rng, threads):
+def _run_moment_fit(plan, spec, item, rng):
     n = int(item.get("n", 2))
     R = _item_R(spec, item)
     level = float(item.get("level", 0.01))
     design = default_design(n)
     alpha = float(plan.intensity.alpha)
-    fit = fit_partition_decomposition(plan.sample, n, design, R, rng,
-                                      threads=threads)
+    fit = fit_partition_decomposition(plan.sample, n, design, R, rng)
     reports = []
     raw = {}
     for pi in partitions(n):
@@ -518,27 +522,25 @@ def _run_moment_fit(plan, spec, item, rng, threads):
     return reports, raw
 
 
-def _run_diagonal_weight(plan, spec, item, rng, threads):
+def _run_diagonal_weight(plan, spec, item, rng):
     w = _item_window(plan, item)
     n = int(item.get("n", 2))
     depth = int(item.get("depth", 8))
     R = _item_R(spec, item)
     level = float(item.get("level", 0.01))
-    res = diagonal_weight(plan.sample, w, n, depth, R, rng, threads=threads)
+    res = diagonal_weight(plan.sample, w, n, depth, R, rng)
     target = float(plan.intensity.alpha * w.length)
     rep = z_test_report(f"diagonal_weight[n={n},depth={depth}]",
                         res.value, target, res.stderr, level, spec.seed, R)
     return [rep], {"refinements": np.array(res.estimates)}
 
 
-def _run_round_trip(plan, spec, item, rng, threads):
+def _run_round_trip(plan, spec, item, rng):
     if plan.kind not in ("sushi", "id"):
         raise ValueError("round_trip: needs a cluster construction")
     K_max = int(item.get("K_max", 2 * plan.sushi.K_support))
-    R = _item_R(spec, item)
-    failures = 0
-    for r in range(R):
-        v = plan.sample(rng.child(r))
+
+    def failed(v) -> bool:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             enc = phi_encode(v, plan.T, K_max)
@@ -546,34 +548,29 @@ def _run_round_trip(plan, spec, item, rng, threads):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             enc2 = phi_encode(v2, plan.T, K_max)
-        if enc2 != enc or phi_decode(enc2, plan.T, window=plan.observed) != v2:
-            failures += 1
-    rep = TestReport(f"round_trip[K_max={K_max}]", float(failures),
-                     1.0 if failures == 0 else 0.0,
-                     float(item.get("level", 0.5)), spec.seed, R)
+        return enc2 != enc or phi_decode(enc2, plan.T, window=plan.observed) != v2
+
+    rep = _exact_check(plan, spec, item, rng, f"round_trip[K_max={K_max}]",
+                       failed)
     return [rep], {}
 
 
-def _run_two_sample_vs(plan, spec, item, rng, threads):
+def _run_two_sample_vs(plan, spec, item, rng):
     if plan.kind not in ("sushi", "id"):
         raise ValueError("two_sample_vs: needs a cluster construction")
     other = item.get("other", "sushi" if plan.kind == "id" else "id")
     w = _item_window(plan, item)
     R = _item_R(spec, item)
     level = float(item.get("level", 0.001))
-    if other == "sushi":
-        other_sample = lambda r: sample_sushi(plan.sushi, plan.sampling_window, r)
-    elif other == "id":
-        other_sample = lambda r: sample_id_measure(plan.levy,
-                                                   plan.sampling_window, r)
-    else:
+    if other not in ("sushi", "id"):
         raise ValueError("two_sample_vs: other must be sushi or id")
+    other_sampler = sample_sushi if other == "sushi" else sample_id_measure
+    other_sample = lambda r: other_sampler(plan.sushi, plan.sampling_window, r)
 
     def masses(sampler, branch) -> np.ndarray:
         def evaluate(v) -> list[float]:
             return [float(count(v, w))]
-        return replicate_matrix(sampler, evaluate, 1, R,
-                                rng.child(branch), threads)[:, 0]
+        return replicate_matrix(sampler, evaluate, 1, R, rng.child(branch))[:, 0]
 
     a = masses(plan.sample, 0)
     b = masses(other_sample, 1)
@@ -586,11 +583,11 @@ def _run_two_sample_vs(plan, spec, item, rng, threads):
     return [rep], {"masses_a": a, "masses_b": b}
 
 
-def _run_variance(plan, spec, item, rng, threads):
+def _run_variance(plan, spec, item, rng):
     w = _item_window(plan, item)
     R = _item_R(spec, item)
     level = float(item.get("level", 0.01))
-    masses = _mass_vector(plan, w, R, rng, threads)
+    masses = _mass_vector(plan, w, R, rng)
     if plan.kind in ("sushi", "id"):
         target = float(sushi_variance(plan.sushi, w))
     elif plan.kind == "poisson":
@@ -598,18 +595,17 @@ def _run_variance(plan, spec, item, rng, threads):
     else:
         raise ValueError("variance: closed form known for poisson/sushi/id only")
     rep = variance_check(masses, target, level=level,
-                         name=f"variance[{format_window(w)}]", seed=spec.seed)
+                         name=f"variance[{w}]", seed=spec.seed)
     return [rep], {"masses": masses}
 
 
-def _run_cesaro(plan, spec, item, rng, threads):
-    windows = [parse_window(w) for w in item["windows"]]
+def _run_cesaro(plan, spec, item, rng):
+    windows = _parse_windows(item["windows"])
     K = [int(i) for i in item.get("K", [0])]
     L = int(item.get("L", 16))
     R = _item_R(spec, item)
     res = cesaro_factorization(plan.sample, plan.T, windows, K, L, R, rng,
-                               level=float(item.get("level", 0.01)),
-                               threads=threads)
+                               level=float(item.get("level", 0.01)))
     return [res.report], {"terms": np.array(res.terms),
                           "averages": np.array(res.averages)}
 
@@ -689,7 +685,8 @@ def run(spec: ExperimentSpec, threads: int = 1, out_dir=None,
     Battery item i draws from the dedicated stream Rng(seed, i + 1), so
     items are independent and insertion-order stable.  exit_status is 0
     iff every must_pass item met its expectation ("pass" by default;
-    counterexample items declare expect="reject").
+    counterexample items declare expect="reject").  Replicates run
+    serially; ``threads`` is accepted for compatibility and has no effect.
     """
     start = time.monotonic()
     plan = _build_plan(spec)
@@ -699,7 +696,7 @@ def run(spec: ExperimentSpec, threads: int = 1, out_dir=None,
     for i, item in enumerate(spec.battery):
         runner = _TEST_REGISTRY[item["test"]]
         item_rng = Rng(spec.seed, i + 1)
-        reps, raw = runner(plan, spec, item, item_rng, threads)
+        reps, raw = runner(plan, spec, item, item_rng)
         reports.extend(reps)
         expect = item.get("expect", "pass")
         met = all(r.decision == expect for r in reps)
@@ -745,7 +742,7 @@ def _dump_realization(plan: _Plan, spec: ExperimentSpec, raw_dir: Path) -> None:
     elif plan.kind == "mark":
         with (raw_dir / "realization_marks.csv").open("w") as fh:
             fh.write(f"# seed={spec.seed} stream_id=0 "
-                     f"window={format_window(sample.window)}\n")
+                     f"window={sample.window}\n")
             fh.write("point,mark\n")
             for p, mk in sample.atoms:
                 fh.write(f"{format_rat(p)},{mk}\n")

@@ -14,7 +14,6 @@ diagonal through dyadic refinements.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -22,8 +21,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .point_process import Config, Rng, count
-from .windows import IntensitySpec, Window, format_window
+from .point_process import Config, Rng, WeightedConfig, count
+from .windows import IntensitySpec, Window
 
 __all__ = [
     "Partition",
@@ -128,26 +127,14 @@ def replicate_matrix(sampler: Sampler, evaluate: Callable[[object], Sequence[flo
                      width: int, R: int, rng: Rng, threads: int = 1) -> np.ndarray:
     """R x width matrix of per-replicate statistics.
 
-    Replicate r is a pure function of rng.child(r), and rows land at fixed
-    indices, so the result is identical for any thread count.
+    Replicate r is a pure function of rng.child(r) and lands in row r.
+    Replicates run serially: the per-replicate work is pure-Python exact
+    arithmetic, which threads only slow down.  ``threads`` is accepted for
+    compatibility and has no effect.
     """
     out = np.empty((R, width), dtype=np.float64)
-
-    def fill(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            out[r, :] = evaluate(sampler(rng.child(r)))
-
-    if threads <= 1:
-        fill(0, R)
-    else:
-        step = -(-R // threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [
-                pool.submit(fill, lo, min(lo + step, R))
-                for lo in range(0, R, step)
-            ]
-            for f in futs:
-                f.result()
+    for r in range(R):
+        out[r, :] = evaluate(sampler(rng.child(r)))
     return out
 
 
@@ -162,14 +149,14 @@ def _product_eval(windows: Sequence[Window]) -> Callable[[object], list[float]]:
 
 
 def estimate_moment(sampler: Sampler, windows: Sequence[Window], R: int,
-                    rng: Rng, threads: int = 1) -> MomentEstimate:
+                    rng: Rng) -> MomentEstimate:
     """Monte Carlo n-th moment E[prod_i N(A_i)] with plug-in stderr."""
     if R < 100:
         raise ValueError("R must be at least 100")
     if not 1 <= len(windows) <= MAX_ESTIMATION_N:
         raise ValueError(f"between 1 and {MAX_ESTIMATION_N} windows")
-    vals = replicate_matrix(sampler, _product_eval(windows), 1, R, rng, threads)[:, 0]
-    target = "E[" + " * ".join(f"N({format_window(w)})" for w in windows) + "]"
+    vals = replicate_matrix(sampler, _product_eval(windows), 1, R, rng)[:, 0]
+    target = "E[" + " * ".join(f"N({w})" for w in windows) + "]"
     return MomentEstimate(
         float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(R)), R, target
     )
@@ -228,7 +215,6 @@ def fit_partition_decomposition(
     design: Sequence[Sequence[Window]],
     R: int,
     rng: Rng,
-    threads: int = 1,
     intensity: IntensitySpec = IntensitySpec(1),
 ) -> FitResult:
     """Least-squares fit of moment estimates over the partition-measure basis.
@@ -253,7 +239,7 @@ def fit_partition_decomposition(
     def evaluate(config: object) -> list[float]:
         return [ev(config)[0] for ev in evaluators]
 
-    prods = replicate_matrix(sampler, evaluate, len(design), R, rng, threads)
+    prods = replicate_matrix(sampler, evaluate, len(design), R, rng)
     mhat = prods.mean(axis=0)
     S = np.cov(prods, rowvar=False).reshape(len(design), len(design))
 
@@ -270,7 +256,7 @@ def fit_partition_decomposition(
     moments = tuple(
         MomentEstimate(
             float(mhat[i]), float(row_se[i]), R,
-            "E[" + " * ".join(f"N({format_window(w)})" for w in design[i]) + "]",
+            "E[" + " * ".join(f"N({w})" for w in design[i]) + "]",
         )
         for i in range(len(design))
     )
@@ -327,7 +313,7 @@ class DiagonalWeightResult:
 
 
 def diagonal_weight(sampler: Sampler, A: Window, n: int, depth: int, R: int,
-                    rng: Rng, threads: int = 1) -> DiagonalWeightResult:
+                    rng: Rng) -> DiagonalWeightResult:
     """Diagonal mass via dyadic refinement: E[sum_i N(A_i^d)^n] per depth d.
 
     Cells are the 2^depth equal-length pieces of A in cumulative-length
@@ -357,10 +343,10 @@ def diagonal_weight(sampler: Sampler, A: Window, n: int, depth: int, R: int,
 
     def evaluate(config: Config) -> list[float]:
         masses: dict[int, Fraction] = {}
-        if hasattr(config, "atoms"):
-            items = config.atoms  # type: ignore[union-attr]
+        if isinstance(config, WeightedConfig):
+            items = config.atoms
         else:
-            items = [(p, Fraction(1)) for p in config.points]  # type: ignore[union-attr]
+            items = [(p, Fraction(1)) for p in config.points]
         for p, w in items:
             if p in A:
                 idx = cell_index(p)
@@ -378,7 +364,7 @@ def diagonal_weight(sampler: Sampler, A: Window, n: int, depth: int, R: int,
         row.reverse()
         return row
 
-    mat = replicate_matrix(sampler, evaluate, depth + 1, R, rng, threads)
+    mat = replicate_matrix(sampler, evaluate, depth + 1, R, rng)
     means = mat.mean(axis=0)
     ses = mat.std(axis=0, ddof=1) / math.sqrt(R)
     return DiagonalWeightResult(

@@ -261,16 +261,17 @@ def superpose(c1: Config, c2: Config) -> Config:
 
 
 def count(c: Config, A: Window):
-    """N(A): point count, or total weight, inside A.
+    """N(A): total weight inside A for a weighted configuration, else the
+    point count (marks do not weigh).
 
     A must be covered by the configuration's window -- counting over
     unobserved territory is an error, not a zero.
     """
     if not A.difference(c.window).is_empty:
         raise ValueError(f"window {A} exceeds observed window {c.window}")
-    if isinstance(c, PointConfig):
-        return sum(1 for p in c.points if p in A)
-    return sum((w for p, w in c.atoms if p in A), Fraction(0))
+    if isinstance(c, WeightedConfig):
+        return sum((w for p, w in c.atoms if p in A), Fraction(0))
+    return sum(1 for p in c.points if p in A)
 
 
 def free_check(c: PointConfig, T: TransformHandle, K: int,

@@ -51,8 +51,12 @@ class MarkedConfig:
             if p not in self.window:
                 raise ValueError(f"point {p} outside window")
 
+    @property
+    def points(self) -> tuple[Fraction, ...]:
+        return tuple(p for p, _ in self.atoms)
+
     def ground(self) -> PointConfig:
-        return PointConfig(tuple(p for p, _ in self.atoms), self.window)
+        return PointConfig(self.points, self.window)
 
 
 def _validate_probs(probs: Sequence[float]) -> np.ndarray:

@@ -19,7 +19,7 @@ from scipy import stats as sps
 from .dynamics import DEFAULT_MAX_STAGE, TransformHandle
 from .moments import replicate_matrix
 from .point_process import Rng, count
-from .windows import IntensitySpec, Window, format_window
+from .windows import IntensitySpec, Window
 
 __all__ = [
     "TestReport",
@@ -87,21 +87,20 @@ def z_test_report(name: str, estimate: float, target: float, stderr: float,
 
 
 def covariance_check(sampler, A: Window, B: Window, intensity: IntensitySpec,
-                     R: int, rng: Rng, level: float = 0.01,
-                     threads: int = 1) -> TestReport:
+                     R: int, rng: Rng, level: float = 0.01) -> TestReport:
     """Empirical Cov(N(A), N(B)) against the exact overlap mass."""
     target = float(intensity.alpha * A.intersect(B).length)
 
     def evaluate(config) -> list[float]:
         return [float(count(config, A)), float(count(config, B))]
 
-    mat = replicate_matrix(sampler, evaluate, 2, R, rng, threads)
+    mat = replicate_matrix(sampler, evaluate, 2, R, rng)
     a, b = mat[:, 0], mat[:, 1]
     cov = float(np.cov(a, b)[0, 1])
     # stderr of the sample covariance via the plug-in fourth-moment formula
     prod = (a - a.mean()) * (b - b.mean())
     se = float(prod.std(ddof=1) / math.sqrt(R))
-    name = f"covariance[{format_window(A)};{format_window(B)}]"
+    name = f"covariance[{A};{B}]"
     return z_test_report(name, cov, target, se, level, rng.seed, R)
 
 
@@ -199,7 +198,6 @@ def dispersion_index_test(counts: Sequence[int], level: float = 0.001,
 
 def mixed_moment_factorization(joint_sampler, groupings: Sequence[Sequence[Window]],
                                R: int, rng: Rng, level: float = 0.01,
-                               threads: int = 1,
                                name: str = "mixed_moment_factorization") -> TestReport:
     """Joint mixed moment against the product of per-component moments.
 
@@ -225,7 +223,7 @@ def mixed_moment_factorization(joint_sampler, groupings: Sequence[Sequence[Windo
             joint *= p
         return [joint] + parts
 
-    mat = replicate_matrix(joint_sampler, evaluate, k + 1, R, rng, threads)
+    mat = replicate_matrix(joint_sampler, evaluate, k + 1, R, rng)
     means = mat.mean(axis=0)
     joint = float(means[0])
     marg = means[1:]
@@ -257,7 +255,6 @@ class CesaroFactorization:
 def cesaro_factorization(sampler, T: TransformHandle,
                          windows: Sequence[Window], K: Sequence[int],
                          L: int, R: int, rng: Rng, level: float = 0.01,
-                         threads: int = 1,
                          max_stage: int = DEFAULT_MAX_STAGE,
                          name: str = "cesaro_factorization") -> CesaroFactorization:
     """Averaged shift-decorrelation of a moment product.
@@ -294,7 +291,7 @@ def cesaro_factorization(sampler, T: TransformHandle,
             row.append(term)
         return row
 
-    mat = replicate_matrix(sampler, evaluate, L + 3, R, rng, threads)
+    mat = replicate_matrix(sampler, evaluate, L + 3, R, rng)
     means = mat.mean(axis=0)
     m_base, m_rest = float(means[1]), float(means[2])
     product = m_base * m_rest

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 __all__ = [
-    "Rat",
     "RatLike",
     "Interval",
     "Window",
@@ -25,15 +24,8 @@ __all__ = [
     "as_rat",
     "format_rat",
     "parse_window",
-    "format_window",
-    "length",
-    "intersect",
-    "translate",
     "EMPTY",
 ]
-
-#: Exact rational scalar used for all coordinates and measures.
-Rat = Fraction
 
 RatLike = Union[int, Fraction, float, str]
 
@@ -226,7 +218,7 @@ def parse_window(text: str) -> Window:
     """Parse the window literal syntax, e.g. ``"[0,1)+[3/2,2)"``.
 
     The empty window is written ``"[)"``.  Round trips exactly with
-    :func:`format_window`.
+    ``str(w)``.
     """
     text = text.strip()
     if text in ("", "[)"):
@@ -241,10 +233,6 @@ def parse_window(text: str) -> Window:
             raise ValueError(f"bad interval literal {chunk!r}")
         parts.append(Interval(as_rat(lo_s), as_rat(hi_s)))
     return Window(parts)
-
-
-def format_window(w: Window) -> str:
-    return str(w)
 
 
 @dataclass(frozen=True)
@@ -267,15 +255,3 @@ class IntensitySpec:
         """mu(w) = alpha * length(w), exact."""
         return self.alpha * w.length
 
-
-def length(w: Window) -> Fraction:
-    """Total length of a window (the alpha = 1 reference measure)."""
-    return w.length
-
-
-def intersect(w1: Window, w2: Window) -> Window:
-    return w1.intersect(w2)
-
-
-def translate(w: Window, t: RatLike) -> Window:
-    return w.translate(t)

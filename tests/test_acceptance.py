@@ -16,7 +16,6 @@ import numpy as np
 from sushilab.cluster import (
     ClusterEntry,
     ClusterLaw,
-    LevyData,
     SushiSpec,
     phi_decode,
     phi_encode,
@@ -308,13 +307,12 @@ def test_criterion_10_id_identities():
     # empirical variance matches the closed form within 4 s.e.
     A = Window.span(0, 4)
     spec = SushiSpec(Fraction(1, 2), LAW_MIXED, T1)
-    levy = LevyData(Fraction(1, 2), LAW_MIXED, T1)
     R = 2000
     worst = 1.0
     for s in range(20):
         xs = np.array([float(count(sample_sushi(spec, A, Rng(SEED, 100000 + s).child(r)), A))
                        for r in range(R)], dtype=int)
-        ys = np.array([float(count(sample_id_measure(levy, A, Rng(SEED, 110000 + s).child(r)), A))
+        ys = np.array([float(count(sample_id_measure(spec, A, Rng(SEED, 110000 + s).child(r)), A))
                        for r in range(R)], dtype=int)
         rep = two_sample_count_test(xs, ys, level=0.001, seed=SEED)
         assert rep.decision == "pass", (s, rep.to_dict())
@@ -323,7 +321,7 @@ def test_criterion_10_id_identities():
     A2 = Window.span(0, 2)
     target = float(sushi_variance(spec, A2))
     mat = replicate_matrix(
-        lambda rng: sample_id_measure(levy, A2, rng),
+        lambda rng: sample_id_measure(spec, A2, rng),
         lambda v: [float(count(v, A2))], 1, 20000, Rng(SEED, 10500))
     xs = mat[:, 0]
     s2 = xs.var(ddof=1)

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, deterministic output."""
 
+import hashlib
 import json
 
 import pytest
@@ -79,6 +80,12 @@ class TestRunCommand:
         monkeypatch.setitem(experiment.BATTERY_PRESETS, "tiny", small)
         assert main(["run", "tiny"]) == 0
 
+    def test_spec_missing_battery_param_errors(self, tmp_path, capsys):
+        path = spec_file(
+            tmp_path, battery=[{"test": "covariance", "A": "[0,1)"}])
+        assert main(["run", str(path)]) == 2
+        assert "battery[0].B" in capsys.readouterr().err
+
     def test_unknown_spec_errors(self, capsys):
         assert main(["run", "no-such-spec.json"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -108,8 +115,8 @@ class TestSummaryCommands:
         summary = json.loads(capsys.readouterr().out)
         assert summary["target_rates"] == [0.5, 0.5]
         assert abs(summary["component_rates"][0] - 0.5) < 0.1
-        assert (out / "component0.csv").exists()
-        assert (out / "component1.csv").exists()
+        assert (out / "realization_component0.csv").exists()
+        assert (out / "realization_component1.csv").exists()
 
     def test_split_rejects_bad_probs(self, capsys):
         assert main(["split", "--probs", "1/2,1/3"]) == 2
@@ -123,8 +130,7 @@ class TestSummaryCommands:
         assert summary["core"] == "[0,20)"
         import math
         assert summary["target_rate"] == pytest.approx(math.exp(-2))
-        assert (out / "input.csv").exists()
-        assert (out / "thinned.csv").exists()
+        assert (out / "realization.csv").exists()
 
     def test_thin_rejects_thin_window(self, capsys):
         assert main(["thin-separation", "--window", "[0,1)"]) == 2
@@ -155,3 +161,22 @@ class TestSummaryCommands:
         first = capsys.readouterr().out
         main(["mark", "--window", "[0,6)", "--replicates", "200"])
         assert capsys.readouterr().out == first
+
+
+# First 12 hex digits of sha256(stdout) for each summary subcommand.
+SUMMARY_GOLDEN = [
+    (["split", "--window", "[0,6)", "--replicates", "300"], "9a67691c27b5"),
+    (["thin-separation", "--window", "[-1,21)", "--replicates", "300"],
+     "cb5fe761d578"),
+    (["mark", "--window", "[0,6)", "--replicates", "300",
+      "--probs", "1/4,3/4"], "d6d5b526cbdc"),
+    (["sushi", "--replicates", "300"], "f799460b08c7"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", SUMMARY_GOLDEN,
+                         ids=[a[0] for a, _ in SUMMARY_GOLDEN])
+def test_summary_golden_stdout(argv, digest, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest

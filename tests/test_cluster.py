@@ -9,7 +9,6 @@ from sushilab.cluster import (
     ClusterEntry,
     ClusterLaw,
     EncodedCluster,
-    LevyData,
     SushiSpec,
     phi_decode,
     phi_encode,
@@ -83,13 +82,6 @@ class TestTypes:
         assert SushiSpec(1, PAIR_LAW, T1).K_support == 1
         assert SushiSpec(1, PAIR_LAW, T1, K_support=5).K_support == 5
 
-    def test_levy_gamma_pinned_to_zero(self):
-        with pytest.raises(ValueError):
-            LevyData(1, PAIR_LAW, T1, gamma=F(1, 10))
-        levy = LevyData(F(1, 2), PAIR_LAW, T1)
-        spec = levy.spec()
-        assert spec.c == F(1, 2) and spec.law is PAIR_LAW
-
     def test_encoded_cluster_origin_rules(self):
         EncodedCluster(0, {0: 2, 1: 1})
         EncodedCluster(0, {0: 1, 1: 1})       # later tie allowed
@@ -143,8 +135,7 @@ class TestSamplers:
 
     def test_id_route_degenerate_matches_poisson(self):
         core = parse_window("[0,10)")
-        levy = LevyData(1, POINT_LAW, T1)
-        v = sample_id_measure(levy, core, Rng(5, 9))
+        v = sample_id_measure(SushiSpec(1, POINT_LAW, T1), core, Rng(5, 9))
         p = sample_poisson(IntensitySpec(1), core, Rng(5, 9))
         assert tuple(q for q, _ in v.atoms) == p.points
 
@@ -176,12 +167,11 @@ class TestSamplers:
     def test_empirical_mean_both_routes(self):
         core = parse_window("[0,5)")
         spec = SushiSpec(F(1, 2), MIXED_LAW, T1)
-        levy = LevyData(F(1, 2), MIXED_LAW, T1)
         mean = float(sushi_mean(spec, core))            # 5
         var = float(sushi_variance(spec, core))         # c * catalog sum
         reps = 600
         for draw, base in ((lambda r: sample_sushi(spec, core, r), 100),
-                           (lambda r: sample_id_measure(levy, core, r), 200)):
+                           (lambda r: sample_id_measure(spec, core, r), 200)):
             tot = 0.0
             for r in range(reps):
                 tot += float(count(draw(Rng(20260823, base + r)), core))

@@ -1,6 +1,7 @@
 """Experiment runner: spec validation, determinism, manifests, presets."""
 
 import json
+import re
 
 import pytest
 
@@ -94,6 +95,19 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match=r"law\[1\]"):
             parse_law([{"prob": "1", "weights": {"0": "1"}},
                        {"prob": "0"}])
+
+    @pytest.mark.parametrize("item,field", [
+        ({"test": "covariance", "A": "[0,1)"}, "battery[0].B"),
+        ({"test": "covariance", "A": "[0,1)", "B": "1..2"}, "battery[0].B"),
+        ({"test": "mixed_moment"}, "battery[0].groupings"),
+        ({"test": "mixed_moment", "groupings": [["[0,1)", "x"]]},
+         "battery[0].groupings"),
+        ({"test": "cesaro"}, "battery[0].windows"),
+        ({"test": "cesaro", "windows": 3}, "battery[0].windows"),
+    ])
+    def test_required_battery_params_checked_at_load(self, item, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            ExperimentSpec.from_dict(minimal_spec(battery=[item]))
 
     def test_from_json(self):
         spec = ExperimentSpec.from_json(json.dumps(minimal_spec()))
@@ -258,6 +272,14 @@ class TestConstructionTargets:
         m = run(ExperimentSpec.from_dict(d))
         assert m.reports[0].target == pytest.approx(20 / 3)
         assert m.reports[0].decision == "pass"
+
+    def test_mark_intensity_counts_points(self):
+        d = minimal_spec(construction="mark", window="[0,10)",
+                         params={"mark_probs": ["1/2", "1/4", "1/4"]},
+                         battery=[{"test": "intensity"}])
+        m = run(ExperimentSpec.from_dict(d))
+        assert m.reports[0].target == pytest.approx(10.0)
+        assert m.exit_status == 0
 
     def test_sushi_unit_intensity(self):
         d = minimal_spec(construction="sushi", window="[0,6)",

@@ -138,6 +138,18 @@ def test_separation_thin_kept_rate_ballpark():
     assert abs(rate - expect) < 0.02
 
 
+def test_count_and_diagonal_weight_count_marked_points():
+    # marks are labels, not weights: N(A) counts the points whatever they carry
+    from sushilab.moments import diagonal_weight
+
+    w = parse_window("[0,10)")
+    mc = MarkedConfig(tuple((F(i), i % 3) for i in range(10)), w, 3)
+    assert count(mc, w) == 10
+    assert count(mc, parse_window("[0,5)")) == 5
+    res = diagonal_weight(lambda rng: mc, w, 2, 4, 100, Rng(1))
+    assert res.value == pytest.approx(10.0)
+
+
 def test_marked_config_validation():
     w = parse_window("[0,1)")
     with pytest.raises(ValueError):
