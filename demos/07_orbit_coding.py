@@ -39,7 +39,7 @@ for w in caught:
     print("note:", w.message)
 print(f"encoded into {len(enc)} clusters:")
 for cl in enc[:4]:
-    weights = {j: str(wt) for j, wt in cl.weights.items()}
+    weights = {j: str(wt) for j, wt in cl.weights}
     print(f"  origin {cl.origin}, relative weights {weights}")
 
 v2 = phi_decode(enc, spec.T, window=core)

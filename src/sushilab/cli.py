@@ -35,7 +35,7 @@ from .experiment import (
     resolve_transformation,
     run,
 )
-from .dynamics import orbit
+from .dynamics import DEFAULT_MAX_STAGE, orbit
 from .moments import replicate_matrix
 from .point_process import Rng, count
 from .split_mark import project_mark_set
@@ -250,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("transformation", help="preset name or JSON recipe block")
     p.add_argument("x", help="starting point, exact rational literal")
     p.add_argument("k", type=int, help="last power (may be negative)")
-    p.add_argument("--max-stage", type=int, default=12)
+    p.add_argument("--max-stage", type=int, default=DEFAULT_MAX_STAGE)
     p.set_defaults(fn=_cmd_orbit)
 
     def common(p, window="[0,10)"):

@@ -9,20 +9,22 @@ Two kinds of transformation are provided:
   stage cuts the column into ``cuts`` equal subcolumns, adds fresh spacer
   intervals on top of each subcolumn, and stacks the subcolumns left to
   right.  The map defined at stage ``s + 1`` extends the one at stage ``s``
-  wherever both are defined, so the machine is grown lazily, on demand.
+  wherever both are defined, so each query is answered at the first stage
+  where it is defined.  The machine keeps only a small table per stage
+  (height, width, frontier, where each subcolumn starts, spacer counts)
+  and never lists the levels; tables are grown lazily from the recipe.
 
 All arithmetic is exact; points are rationals and images of windows are
-windows.  When the partial map is still undefined at a point after growing
-to ``max_stage`` stages, :class:`OrbitError` is raised; there is no silent
-approximation.
+windows.  When the partial map is undefined at a point up to ``max_stage``
+stages, :class:`OrbitError` is raised; there is no silent approximation.
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence, Union
 
 from .windows import Interval, RatLike, Window, as_rat
@@ -41,8 +43,10 @@ __all__ = [
     "DEFAULT_MAX_STAGE",
 ]
 
-# Each stage of a 3-cut machine triples the level count, so the cap bounds
-# memory at roughly 3^12 levels; raise it per call for deeper orbits.
+# Stages a query may descend before OrbitError.  A stage costs one small
+# table and a few integer operations per query, so the cap bounds how far a
+# point on a null set (a level edge that never becomes interior) is chased,
+# not memory; raise it per call for deeper orbits.
 DEFAULT_MAX_STAGE = 12
 
 #: ``recipe(stage, height) -> (cut_count, spacer_counts)`` for the stage
@@ -53,9 +57,9 @@ RankOneRecipe = Callable[[int, int], tuple[int, Sequence[int]]]
 class OrbitError(RuntimeError):
     """The partial map is undefined along the requested orbit segment.
 
-    Raised only after the machine has been grown to ``max_stage`` stages and
-    the point (or some sliver of the window) is still on an undefined top or
-    bottom level.
+    Raised exactly when the first stage at which the point (or the first
+    unresolved point of a window, in scan order) is defined, or born,
+    exceeds ``max_stage``.
     """
 
     def __init__(self, point: Fraction, requested_power: int, max_stage: int):
@@ -128,18 +132,44 @@ def infinite_chacon_recipe() -> RankOneRecipe:
     return recipe
 
 
+@dataclass(frozen=True, slots=True)
+class _Stage:
+    """Table of one stage of a rank-one column.
+
+    Positions are integers in units of this stage's level width, counted
+    from the left end of the base interval.  Stage ``s`` stacks ``cuts``
+    copies of the stage ``s - 1`` column, each cut to the new width and
+    followed by its fresh spacer levels, which are allocated left to right
+    from the old frontier.
+    """
+
+    height: int  # levels in the column
+    scale: int  # base width / level width
+    frontier: int  # right end of the space built so far
+    cuts: int = 1
+    below: int = 0  # height of the previous column
+    starts: tuple[int, ...] = (0,)  # level index of the bottom of each copy
+    prefix: tuple[int, ...] = (0, 0)  # spacers stacked on the copies before j
+    spacer_lo: int = 0  # left end of this stage's first spacer
+
+
 class RankOneMachine:
     """Lazily grown cutting-and-stacking transformation.
 
     The machine starts from a single base interval (default ``[0, 1)``) and
-    keeps, per built stage, the ordered list of levels of the current column.
-    All levels share one width; the space is exactly ``[base.lo, frontier)``
-    tiled by the levels, where fresh spacers are allocated consecutively from
-    the frontier.
+    keeps one small table per built stage (:class:`_Stage`): the column
+    height, the level width, the frontier of the space, where each copy of
+    the previous column starts and how many spacers sit on each copy.  No
+    level is ever stored.  A query is resolved at the first stage where it
+    is defined: :meth:`apply` finds the stage at which ``x`` is born (the
+    base, or the spacers of some stage), follows ``x`` down the stages until
+    ``T^k`` is defined on its level, and rebuilds the target level's left
+    end from the tables.  Offsets within a level are carried as an integer
+    numerator over a fixed denominator, so each stage costs a few integer
+    operations.
 
-    Thread-safe: concurrent ``apply`` calls may trigger growth; stage
-    extension is serialized internally and results are independent of the
-    interleaving (growth is a deterministic function of the stage).
+    ``stage`` is the deepest stage built so far; the space is exactly
+    ``[base.lo, frontier)`` at that stage, tiled by its levels.
     """
 
     def __init__(
@@ -151,140 +181,182 @@ class RankOneMachine:
         self._recipe = recipe
         self._base = base if base is not None else Interval(Fraction(0), Fraction(1))
         self._label = label
-        self._lock = threading.Lock()
-        # state tuple: (stage, width, los, sorted_los, order, frontier) where
-        # los[j] is the left endpoint of level j (all levels share the width)
-        self._state = (
-            0,
-            self._base.length,
-            (self._base.lo,),
-            [self._base.lo],
-            [0],
-            self._base.hi,
-        )
+        lo, width = self._base.lo, self._base.length
+        self._frac = (lo.numerator, lo.denominator, width.numerator, width.denominator)
+        # stage -> table; setdefault keeps the first table published for a
+        # stage, and keys stay contiguous because a stage is built from the
+        # one below it
+        self._tables: dict[int, _Stage] = {0: _Stage(height=1, scale=1, frontier=1)}
 
     # -- introspection ----------------------------------------------------
 
     @property
     def stage(self) -> int:
-        return self._state[0]
+        return len(self._tables) - 1
 
     @property
     def space(self) -> Window:
-        """Currently materialized part of the space, ``[base.lo, frontier)``."""
-        _, _, _, _, _, frontier = self._state
-        return Window([Interval(self._base.lo, frontier)])
+        """Currently built part of the space, ``[base.lo, frontier)``."""
+        t = self._tables[self.stage]
+        return Window([Interval(self._base.lo, self._at(t.frontier, t.scale))])
 
     @property
     def tower(self) -> tuple[Interval, int, tuple[Interval, ...]]:
         """(base level, height, level intervals bottom to top) at the
-        deepest built stage."""
-        _, width, los, _, _, _ = self._state
-        levels = tuple(Interval(lo, lo + width) for lo in los)
+        deepest built stage, rebuilt from the stage tables."""
+        s = self.stage
+        scale = self._tables[s].scale
+        levels = tuple(
+            Interval(self._at(u, scale), self._at(u + 1, scale))
+            for u in self._level_units(s)
+        )
         return levels[0], len(levels), levels
 
     @property
     def pieces(self) -> list[tuple[Interval, Fraction]]:
         """Piecewise map at the deepest built stage: (source level, offset)."""
-        _, width, los, _, _, _ = self._state
-        return [
-            (Interval(los[j], los[j] + width), los[j + 1] - los[j])
-            for j in range(len(los) - 1)
-        ]
+        _, _, levels = self.tower
+        return [(lv, up.lo - lv.lo) for lv, up in zip(levels, levels[1:])]
 
     def __str__(self) -> str:
         return self._label or f"RankOneMachine(stage={self.stage})"
 
+    def _at(self, units: int, scale: int) -> Fraction:
+        """``base.lo + units * base.length / scale``."""
+        lp, lq, wp, wq = self._frac
+        return Fraction(lp * wq * scale + wp * lq * units, lq * wq * scale)
+
+    def _level_units(self, stage: int) -> list[int]:
+        """Left ends of the stage's levels, bottom to top, in level widths."""
+        units = [0]
+        for s in range(1, stage + 1):
+            t = self._tables[s]
+            column: list[int] = []
+            for j in range(t.cuts):
+                column.extend(u * t.cuts + j for u in units)
+                column.extend(range(t.spacer_lo + t.prefix[j],
+                                    t.spacer_lo + t.prefix[j + 1]))
+            units = column
+        return units
+
     # -- growth -----------------------------------------------------------
 
     def grow_to(self, stage: int) -> None:
-        """Build stages up to ``stage`` (no-op if already there)."""
-        while self._state[0] < stage:
-            self._grow_one(self._state[0])
+        """Build the stage tables up to ``stage`` (no-op if already there)."""
+        self._table(stage)
 
-    def _grow_one(self, from_stage: int) -> None:
-        with self._lock:
-            stage, width, los, _, _, frontier = self._state
-            if stage != from_stage:
-                return  # another thread already grew this stage
-            cuts, spacers = self._recipe(stage, len(los))
+    def _table(self, stage: int) -> _Stage:
+        """The table of ``stage``, building the stages below it first."""
+        tables = self._tables
+        while len(tables) <= stage:
+            s = len(tables)
+            prev = tables[s - 1]
+            cuts, spacers = self._recipe(s - 1, prev.height)
             cuts = int(cuts)
-            spacers = tuple(int(s) for s in spacers)
-            if cuts < 2 or len(spacers) != cuts or any(s < 0 for s in spacers):
-                raise ValueError(f"invalid recipe output at stage {stage}")
-            w = width / cuts
-            new_los: list[Fraction] = []
-            for c in range(cuts):
-                off = c * w
-                new_los.extend(lo + off for lo in los)
-                for _ in range(spacers[c]):
-                    new_los.append(frontier)
-                    frontier += w
-            order = sorted(range(len(new_los)), key=new_los.__getitem__)
-            sorted_los = [new_los[i] for i in order]
-            self._state = (stage + 1, w, tuple(new_los), sorted_los, order, frontier)
+            spacers = tuple(int(n) for n in spacers)
+            if cuts < 2 or len(spacers) != cuts or any(n < 0 for n in spacers):
+                raise ValueError(f"invalid recipe output at stage {s - 1}")
+            prefix = tuple(accumulate(spacers, initial=0))
+            tables.setdefault(s, _Stage(
+                height=cuts * prev.height + prefix[-1],
+                scale=prev.scale * cuts,
+                frontier=prev.frontier * cuts + prefix[-1],
+                cuts=cuts,
+                below=prev.height,
+                starts=tuple(j * prev.height + prefix[j] for j in range(cuts)),
+                prefix=prefix,
+                spacer_lo=prev.frontier * cuts,
+            ))
+        return tables[stage]
 
     # -- the map ----------------------------------------------------------
 
+    def _locate(self, x: Fraction, k: int, max_stage: int) -> tuple[int, int, int, int]:
+        """``(s, level, n, d)``: the first stage ``s`` at which ``T^k`` is
+        defined at ``x``, the index of ``x``'s level there, and ``x``'s
+        offset in that level as ``n / d`` of the level width.
+
+        Raises :class:`OrbitError` when ``s`` would exceed ``max_stage``.
+        """
+        lp, lq, wp, wq = self._frac
+        # (x - base.lo) / base.length as a/d, not reduced
+        d = x.denominator * lq * wp
+        q, n = divmod((x.numerator * lq - lp * x.denominator) * wq, d)
+        s = 0
+        t = self._tables[0]
+        while q >= t.frontier:  # not born yet: x is a spacer of a later stage
+            s += 1
+            if s > max_stage:
+                raise OrbitError(x, k, max_stage)
+            t = self._table(s)
+            i, n = divmod(n * t.cuts, d)
+            q = q * t.cuts + i
+        if s:
+            r = q - t.spacer_lo
+            j = bisect_right(t.prefix, r) - 1
+            level = t.starts[j] + t.below + r - t.prefix[j]
+        else:
+            level = 0
+        while not 0 <= level + k < t.height:
+            s += 1
+            if s > max_stage:
+                raise OrbitError(x, k, max_stage)
+            t = self._table(s)
+            i, n = divmod(n * t.cuts, d)
+            level += t.starts[i]
+        return s, level, n, d
+
+    def _point(self, stage: int, level: int, n: int, d: int) -> Fraction:
+        """The point ``n / d`` of the way into ``level`` of ``stage``; the
+        level's left end is rebuilt top-down through the tables."""
+        tables = self._tables
+        scale = tables[stage].scale
+        units = 0
+        s = stage
+        while s:
+            t = tables[s]
+            j = bisect_right(t.starts, level) - 1
+            level -= t.starts[j]
+            if level >= t.below:  # a spacer added at stage s
+                units += (t.spacer_lo + t.prefix[j] + level - t.below) * (scale // t.scale)
+                break
+            units += j * (scale // t.scale)
+            s -= 1
+        return self._at(units * d + n, scale * d)
+
     def apply(self, x: RatLike, k: int = 1, max_stage: int = DEFAULT_MAX_STAGE) -> Fraction:
-        """Exact ``T^k x``; grows the tower until the orbit segment is defined."""
+        """Exact ``T^k x``, resolved at the first stage where it is defined."""
         x = as_rat(x)
         if x < self._base.lo:
             raise ValueError(f"point {x} is outside the machine space")
         if k == 0:
             return x
-        while True:
-            stage, width, los, sorted_los, order, frontier = self._state
-            if x < frontier:
-                pos = bisect_right(sorted_los, x) - 1
-                lvl = order[pos]
-                target = lvl + k
-                if 0 <= target < len(los):
-                    return x + (los[target] - los[lvl])
-            if stage >= max_stage:
-                raise OrbitError(x, k, max_stage)
-            self._grow_one(stage)
+        s, level, n, d = self._locate(x, k, max_stage)
+        return self._point(s, level + k, n, d)
 
     def image_window(self, w: Window, k: int, max_stage: int = DEFAULT_MAX_STAGE) -> Window:
         """Exact image ``T^k w``; length is preserved.
 
-        Every sliver of ``w`` must reach a defined level within ``max_stage``
-        stages, otherwise :class:`OrbitError` names the unresolved point.
+        Each part is scanned in slivers: a sliver runs from a point to the
+        end of that point's level at the first stage where ``T^k`` is
+        defined there, and is translated whole.  A point that needs more
+        than ``max_stage`` stages raises :class:`OrbitError` naming it.
         """
         if w.is_empty or k == 0:
             return w
         if w.parts[0].lo < self._base.lo:
             raise ValueError(f"window {w} is outside the machine space")
-        while True:
-            stage, width, los, sorted_los, order, frontier = self._state
-            pieces: list[Interval] = []
-            stuck: Fraction | None = None
-            if w.hi > frontier:
-                stuck = frontier
-            else:
-                h = len(los)
-                for part in w.parts:
-                    pos = bisect_right(sorted_los, part.lo) - 1
-                    while stuck is None:
-                        lvl = order[pos]
-                        a = max(part.lo, los[lvl])
-                        b = min(part.hi, los[lvl] + width)
-                        target = lvl + k
-                        if 0 <= target < h:
-                            off = los[target] - los[lvl]
-                            pieces.append(Interval(a + off, b + off))
-                        else:
-                            stuck = a
-                        if b >= part.hi:
-                            break
-                        pos += 1
-                    if stuck is not None:
-                        break
-            if stuck is None:
-                return Window(pieces)
-            if stage >= max_stage:
-                raise OrbitError(stuck, k, max_stage)
-            self._grow_one(stage)
+        width = self._base.length
+        pieces: list[Interval] = []
+        for part in w.parts:
+            x = part.lo
+            while x < part.hi:
+                s, level, n, d = self._locate(x, k, max_stage)
+                end = min(part.hi, x + width * Fraction(d - n, d * self._tables[s].scale))
+                y = self._point(s, level + k, n, d)
+                pieces.append(Interval(y, y + (end - x)))
+                x = end
+        return Window(pieces)
 
 
 TransformHandle = Union[Translation, RankOneMachine]

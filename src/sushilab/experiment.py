@@ -209,6 +209,11 @@ class ExperimentSpec:
                     parse(item[key])
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"battery[{i}].{key}: {exc}") from exc
+            if "window" in item:
+                try:
+                    parse_window(item["window"])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"battery[{i}].window: {exc}") from exc
         replicates = need("replicates", int)
         if replicates < 100:
             raise ValueError("replicates: must be at least 100")
@@ -225,7 +230,10 @@ class ExperimentSpec:
             seed=seed,
             raw=_canonical_raw(d),
         )
-        _build_plan(spec)  # validate construction preconditions before sampling
+        plan = _build_plan(spec)  # validate construction preconditions before sampling
+        for i, item in enumerate(spec.battery):
+            if item["test"] in _COMPONENT_TESTS:
+                _check_component(plan, item, f"battery[{i}].component")
         return spec
 
     @staticmethod
@@ -352,6 +360,25 @@ _REQUIRED_PARAMS: dict[str, dict[str, Callable]] = {
     "mixed_moment": {"groupings": lambda gs: [_parse_windows(g) for g in gs]},
     "cesaro": {"windows": _parse_windows},
 }
+
+
+# Tests that count one split component, named by the item's ``component``.
+_COMPONENT_TESTS = ("poisson_gof", "intensity", "dispersion", "variance")
+
+
+def _check_component(plan: _Plan, item: Mapping, field: str) -> None:
+    """``component`` is required on a split and must index its probs;
+    other constructions have no components."""
+    component = item.get("component")
+    if plan.kind != "split":
+        if component is not None:
+            raise ValueError(f"{field}: only the split construction has components")
+        return
+    if component is None:
+        raise ValueError(f"{field}: required for {item['test']} on a split")
+    n = len(plan.probs)
+    if type(component) is not int or not 0 <= component < n:
+        raise ValueError(f"{field}: must be an integer in [0, {n})")
 
 
 def _mass_vector(plan: _Plan, w: Window, R: int, rng: Rng,
@@ -587,13 +614,16 @@ def _run_variance(plan, spec, item, rng):
     w = _item_window(plan, item)
     R = _item_R(spec, item)
     level = float(item.get("level", 0.01))
-    masses = _mass_vector(plan, w, R, rng)
+    component = item.get("component")
+    masses = _mass_vector(plan, w, R, rng, component=component)
     if plan.kind in ("sushi", "id"):
         target = float(sushi_variance(plan.sushi, w))
     elif plan.kind == "poisson":
         target = float(plan.intensity.alpha * w.length)
+    elif plan.kind == "split":
+        target = float(plan.intensity.alpha * plan.probs[component] * w.length)
     else:
-        raise ValueError("variance: closed form known for poisson/sushi/id only")
+        raise ValueError("variance: closed form known for poisson/split/sushi/id only")
     rep = variance_check(masses, target, level=level,
                          name=f"variance[{w}]", seed=spec.seed)
     return [rep], {"masses": masses}

@@ -220,6 +220,8 @@ def parse_window(text: str) -> Window:
     The empty window is written ``"[)"``.  Round trips exactly with
     ``str(w)``.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"window literal must be a string, not {text!r}")
     text = text.strip()
     if text in ("", "[)"):
         return Window()

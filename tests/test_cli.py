@@ -86,6 +86,20 @@ class TestRunCommand:
         assert main(["run", str(path)]) == 2
         assert "battery[0].B" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("item,field", [
+        ({"test": "intensity"}, "battery[0].component"),
+        ({"test": "variance", "component": 5}, "battery[0].component"),
+        ({"test": "intensity", "component": 0, "window": "0..1"},
+         "battery[0].window"),
+        ({"test": "intensity", "component": 0, "window": 3},
+         "battery[0].window"),
+    ])
+    def test_split_item_errors_exit_two(self, tmp_path, capsys, item, field):
+        path = spec_file(tmp_path, construction="split",
+                         params={"probs": ["1/2", "1/2"]}, battery=[item])
+        assert main(["run", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_unknown_spec_errors(self, capsys):
         assert main(["run", "no-such-spec.json"]) == 2
         assert "error:" in capsys.readouterr().err

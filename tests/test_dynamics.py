@@ -5,12 +5,15 @@ towers by hand for the first stages of the 3-cut middle-spacer recipe and
 reading the piecewise map off the stacked levels.
 """
 
+import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import pytest
+from tower_oracle import TowerOracle
 
 from sushilab.dynamics import (
+    DEFAULT_MAX_STAGE,
     OrbitError,
     RankOneMachine,
     Translation,
@@ -20,7 +23,7 @@ from sushilab.dynamics import (
     orbit,
     recipe_from_arrays,
 )
-from sushilab.windows import Interval, parse_window
+from sushilab.windows import Interval, Window, parse_window
 
 # Hand-built tower for the 3-cut recipe with one middle spacer, base [0,1):
 # stage 1 stacks [0,1/3), [1/3,2/3), spacer [1,4/3), [2/3,1) bottom to top.
@@ -279,3 +282,98 @@ def test_concurrent_apply_matches_serial():
         }
         got = {key: f.result() for key, f in futs.items()}
     assert got == expected
+
+
+def _outcome(call):
+    try:
+        return call()
+    except OrbitError as exc:
+        return ("OrbitError", exc.requested_power, exc.max_stage)
+
+
+def _random_point(rng, hi):
+    kind = rng.randrange(3)
+    if kind == 0:  # on the triadic grid: level endpoints of some stage
+        den = 3 ** rng.randrange(7)
+    elif kind == 1:
+        den = 2 ** 30
+    else:
+        den = rng.randrange(2, 2000)
+    return F(rng.randrange(int(hi * den)), den)
+
+
+def _random_window(rng, hi):
+    kind = rng.randrange(3)
+    if kind == 0:  # confined to one cell of the 1/27 grid, ends off the grid
+        cell = F(rng.randrange(int(hi * 27)), 27)
+        a, b = sorted(rng.sample(range(1, 2 ** 20), 2))
+        return Window.span(cell + F(a, 27 * 2 ** 20), cell + F(b, 27 * 2 ** 20))
+    if kind == 1:  # a run of whole cells of a triadic grid
+        den = 3 ** rng.randrange(1, 5)
+        a, b = sorted(rng.sample(range(int(hi * den)), 2))
+        return Window.span(F(a, den), F(b, den))
+    parts = []
+    for _ in range(rng.randrange(1, 4)):  # parts across several cells
+        a, b = sorted(rng.sample(range(int(hi * 1000)), 2))
+        parts.append(Interval(F(a, 1000), F(b, 1000)))
+    return Window(parts)
+
+
+@pytest.mark.parametrize("recipe,max_stage,hi", [
+    (chacon3_recipe, 9, F(8, 5)),
+    (chacon3_recipe, 4, F(8, 5)),
+    (infinite_chacon_recipe, 6, 30),
+    (infinite_chacon_recipe, 3, 30),
+])
+def test_stage_tables_match_materialized_tower(recipe, max_stage, hi):
+    # the materialized tower is the reference: same values, same OrbitError
+    # outcomes and the same stage after every query, on fresh machines
+    rng = random.Random(max_stage)
+    m, ref = RankOneMachine(recipe()), TowerOracle(recipe())
+    for _ in range(400):
+        x, k = _random_point(rng, hi), rng.randint(-40, 40)
+        got = _outcome(lambda: m.apply(x, k, max_stage))
+        assert got == _outcome(lambda: ref.apply(x, k, max_stage)), (x, k)
+        assert m.stage == ref.stage
+    for _ in range(20):
+        w, k = _random_window(rng, hi), rng.randint(-40, 40)
+        got = _outcome(lambda: m.image_window(w, k, max_stage))
+        assert got == _outcome(lambda: ref.image_window(w, k, max_stage)), (w, k)
+        assert m.stage == ref.stage
+    assert m.tower == ref.tower
+    assert m.pieces == ref.pieces
+    assert m.space == ref.space
+
+
+def test_point_outside_finite_space_fails_at_default_max_stage():
+    # chacon3's space never reaches 3/2, so 2 is never born
+    m = chacon()
+    with pytest.raises(OrbitError) as ei:
+        m.apply(2, 1)
+    assert ei.value.point == 2
+    assert ei.value.max_stage == DEFAULT_MAX_STAGE
+    assert m.stage == DEFAULT_MAX_STAGE
+
+
+def test_infinite_chacon_answers_at_default_max_stage():
+    m = RankOneMachine(infinite_chacon_recipe())
+    # 0 is the bottom level of every column: T^h0 is first defined at the
+    # stage whose column is taller than h, here stage 10
+    h = 1
+    for _ in range(9):
+        h = 6 * h + 1
+    y = m.apply(0, h)
+    assert m.stage == 10
+    assert m.apply(y, -h) == 0
+    with pytest.raises(OrbitError):
+        m.apply(0, -1)
+    assert m.stage == DEFAULT_MAX_STAGE
+
+
+def test_orbit_error_depends_on_max_stage_not_on_growth():
+    # T^4 at 0 is first defined at stage 2, whatever was built before
+    m = chacon()
+    m.grow_to(5)
+    with pytest.raises(OrbitError):
+        m.apply(0, 4, max_stage=1)
+    assert m.apply(0, 4, max_stage=2) == F(1, 9)

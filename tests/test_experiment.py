@@ -109,6 +109,41 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match=re.escape(field)):
             ExperimentSpec.from_dict(minimal_spec(battery=[item]))
 
+    @pytest.mark.parametrize("test", ["intensity", "dispersion", "variance",
+                                      "poisson_gof"])
+    @pytest.mark.parametrize("component,message", [
+        (None, "required"), (2, "integer in [0, 2)"), (-1, "integer in [0, 2)"),
+        ("0", "integer in [0, 2)"),
+    ])
+    def test_split_component_checked_at_load(self, test, component, message):
+        item = {"test": test}
+        if component is not None:
+            item["component"] = component
+        d = minimal_spec(construction="split", params={"probs": ["1/2", "1/2"]},
+                         battery=[{"test": "intensity", "component": 0}, item])
+        with pytest.raises(ValueError,
+                           match=re.escape(f"battery[1].component: ") + ".*"
+                           + re.escape(message)):
+            ExperimentSpec.from_dict(d)
+
+    def test_component_only_on_split(self):
+        with pytest.raises(ValueError, match=re.escape("battery[0].component")):
+            ExperimentSpec.from_dict(minimal_spec(
+                battery=[{"test": "intensity", "component": 0}]))
+
+    def test_item_window_checked_before_sampling(self, monkeypatch):
+        from sushilab import experiment
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the spec was validated")
+
+        monkeypatch.setattr(experiment, "sample_poisson", no_sampling)
+        d = minimal_spec(battery=[{"test": "intensity"},
+                                  {"test": "intensity", "window": "0..1"}])
+        with pytest.raises(ValueError, match=re.escape(
+                "battery[1].window: bad interval literal '0..1'")):
+            run(ExperimentSpec.from_dict(d))
+
     def test_from_json(self):
         spec = ExperimentSpec.from_json(json.dumps(minimal_spec()))
         assert spec.seed == 7
@@ -264,6 +299,13 @@ class TestConstructionTargets:
         m = run(ExperimentSpec.from_dict(d))
         assert m.reports[0].decision == "pass"
         assert "component 0" in m.reports[0].name
+
+    def test_split_component_variance(self):
+        d = minimal_spec(construction="split", params={"probs": ["1/4", "3/4"]},
+                         battery=[{"test": "variance", "component": 1}])
+        m = run(ExperimentSpec.from_dict(d))
+        assert m.reports[0].target == pytest.approx(3.0)
+        assert m.reports[0].decision == "pass"
 
     def test_mark_intensity(self):
         d = minimal_spec(construction="mark", window="[0,10)",
