@@ -13,7 +13,9 @@ The summary subcommands turn their flags into a battery-free experiment
 spec and sample through the same construction plan as `run`.  All JSON
 output uses sorted keys, so repeated invocations with the same arguments
 are byte-identical.  Exit status for `run` mirrors the manifest:
-0 iff every must_pass battery item met its expectation.
+0 iff every must_pass battery item met its expectation.  Bad input, and an
+orbit the transformation cannot resolve within its stage budget, print an
+`error:` line and exit 2.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .experiment import (
     resolve_transformation,
     run,
 )
-from .dynamics import DEFAULT_MAX_STAGE, orbit
+from .dynamics import DEFAULT_MAX_STAGE, OrbitError, orbit
 from .moments import replicate_matrix
 from .point_process import Rng, count
 from .split_mark import project_mark_set
@@ -293,7 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OrbitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

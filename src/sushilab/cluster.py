@@ -34,6 +34,7 @@ __all__ = [
     "ClusterLaw",
     "SushiSpec",
     "EncodedCluster",
+    "cluster_buffer",
     "sample_sushi",
     "sample_id_measure",
     "truncate_weights",
@@ -146,12 +147,16 @@ class EncodedCluster:
                 raise ValueError("origin must dominate later positions")
 
 
-def _cluster_buffer(T: TransformHandle, core: Window, ks: Iterable[int],
-                    max_stage: int) -> Window:
-    """Ground window: union of T^{-k}(core) over the given orbit offsets."""
+def cluster_buffer(spec: SushiSpec, core: Window,
+                   entry: ClusterEntry | None = None,
+                   max_stage: int = DEFAULT_MAX_STAGE) -> Window:
+    """Ground window of the clusters that can reach core: the union of
+    T^{-k}(core) over the orbit offsets k of one catalog entry, or of the
+    whole law when entry is None."""
+    entries = spec.law.catalog if entry is None else (entry,)
     buf = EMPTY
-    for k in sorted(set(ks)):
-        buf = buf.union(T.image_window(core, -k, max_stage=max_stage))
+    for k in sorted({k for e in entries for k, _ in e.weights}):
+        buf = buf.union(spec.T.image_window(core, -k, max_stage=max_stage))
     return buf
 
 
@@ -167,14 +172,17 @@ def _hang_clusters(ground: Sequence[Fraction], entries: Sequence[ClusterEntry],
 
 
 def sample_sushi(spec: SushiSpec, core: Window, rng: Rng,
-                 max_stage: int = DEFAULT_MAX_STAGE) -> WeightedConfig:
+                 max_stage: int = DEFAULT_MAX_STAGE,
+                 buffer: Window | None = None) -> WeightedConfig:
     """Direct cluster sampler restricted to the core window.
 
     Draw order: ground Poisson(c x length) on the buffered window, then one
     uniform per ground point (in point order) selecting the catalog entry.
+    A caller that samples many replicates passes the ground window, as
+    ``cluster_buffer(spec, core)``, so it is built once.
     """
-    ks = [k for e in spec.law.catalog for k, _ in e.weights]
-    buffer = _cluster_buffer(spec.T, core, ks, max_stage)
+    if buffer is None:
+        buffer = cluster_buffer(spec, core, max_stage=max_stage)
     ground = sample_poisson(IntensitySpec(spec.c), buffer, rng)
     cum: list[Fraction] = []
     run = Fraction(0)
@@ -190,20 +198,24 @@ def sample_sushi(spec: SushiSpec, core: Window, rng: Rng,
 
 
 def sample_id_measure(spec: SushiSpec, core: Window, rng: Rng,
-                      max_stage: int = DEFAULT_MAX_STAGE) -> WeightedConfig:
+                      max_stage: int = DEFAULT_MAX_STAGE,
+                      buffers: Sequence[Window] | None = None) -> WeightedConfig:
     """Poisson-integral sampler: one independent ground per catalog entry.
 
     The cluster point process on (space x catalog) with intensity
     c x length x prob is sampled entry by entry and integrated; equal in law
     to :func:`sample_sushi` with the same spec.  The drift of the Lévy triple
     is zero for point-valued measures, so a SushiSpec is the whole triple.
+    ``buffers``, when given, holds each entry's ground window, as
+    ``cluster_buffer(spec, core, entry)``, in catalog order; entries of
+    probability 0 draw nothing, and their slot is not read.
     """
     acc: dict[Fraction, Fraction] = {}
-    for entry in spec.law.catalog:
+    for i, entry in enumerate(spec.law.catalog):
         if entry.prob == 0:
             continue
-        buffer = _cluster_buffer(spec.T, core, (k for k, _ in entry.weights),
-                                 max_stage)
+        buffer = (cluster_buffer(spec, core, entry, max_stage)
+                  if buffers is None else buffers[i])
         ground = sample_poisson(IntensitySpec(spec.c * entry.prob), buffer, rng)
         part = _hang_clusters(ground.points, [entry] * len(ground.points),
                               spec.T, core, max_stage)

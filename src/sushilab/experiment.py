@@ -31,6 +31,7 @@ from .cluster import (
     ClusterEntry,
     ClusterLaw,
     SushiSpec,
+    cluster_buffer,
     phi_decode,
     phi_encode,
     sample_id_measure,
@@ -199,6 +200,11 @@ class ExperimentSpec:
                 raise ValueError(
                     f"battery[{i}]: unknown test {item['test']!r}"
                 )
+            needs = _CONSTRUCTIONS_FOR.get(item["test"], construction)
+            if construction not in needs:
+                raise ValueError(
+                    f"battery[{i}].test: {item['test']} needs the "
+                    f"{' or '.join(needs)} construction, not {construction}")
             if item.get("expect", "pass") not in ("pass", "reject"):
                 raise ValueError(f"battery[{i}]: expect must be pass or reject")
             for key, parse in _REQUIRED_PARAMS.get(item["test"], {}).items():
@@ -209,6 +215,9 @@ class ExperimentSpec:
                     parse(item[key])
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"battery[{i}].{key}: {exc}") from exc
+            if item["test"] == "two_sample_vs" and \
+                    item.get("other", "sushi") not in ("sushi", "id"):
+                raise ValueError(f"battery[{i}].other: must be sushi or id")
             if "window" in item:
                 try:
                     parse_window(item["window"])
@@ -327,10 +336,21 @@ def _build_plan(spec: ExperimentSpec) -> _Plan:
             sspec = SushiSpec(c, law, T)
         except ValueError as exc:
             raise ValueError(f"params: {exc}") from exc
-        sampler = sample_sushi if kind == "sushi" else sample_id_measure
         return _Plan(kind, T, IntensitySpec(c), W, W,
-                     lambda rng: sampler(sspec, W, rng), sushi=sspec)
+                     _cluster_sampler(kind, sspec, W), sushi=sspec)
     raise ValueError(f"construction: unknown kind {kind}")
+
+
+def _cluster_sampler(kind: str, sspec: SushiSpec,
+                     W: Window) -> Callable[[Rng], object]:
+    """Sampler of the cluster construction ``kind`` on W, with its ground
+    windows built once rather than once per replicate."""
+    if kind == "sushi":
+        buffer = cluster_buffer(sspec, W)
+        return lambda rng: sample_sushi(sspec, W, rng, buffer=buffer)
+    buffers = tuple(cluster_buffer(sspec, W, e) if e.prob else None
+                    for e in sspec.law.catalog)
+    return lambda rng: sample_id_measure(sspec, W, rng, buffers=buffers)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +379,18 @@ _REQUIRED_PARAMS: dict[str, dict[str, Callable]] = {
     "covariance": {"A": parse_window, "B": parse_window},
     "mixed_moment": {"groupings": lambda gs: [_parse_windows(g) for g in gs]},
     "cesaro": {"windows": _parse_windows},
+}
+
+
+# Tests that only some constructions can run: the split or marked components
+# they correlate, the orbit coding or second sampler of a cluster measure,
+# or a closed-form variance.  ExperimentSpec.from_dict checks them at load.
+_CONSTRUCTIONS_FOR: dict[str, tuple[str, ...]] = {
+    "cross_correlation": ("split", "mark"),
+    "dissociation": ("split",),
+    "round_trip": ("sushi", "id"),
+    "two_sample_vs": ("sushi", "id"),
+    "variance": ("poisson", "split", "sushi", "id"),
 }
 
 
@@ -499,12 +531,10 @@ def _run_cross_correlation(plan, spec, item, rng):
     if plan.kind == "split":
         def evaluate(comps):
             return [float(count(comps[i], w)), float(count(comps[j], w))]
-    elif plan.kind == "mark":
+    else:
         def evaluate(mc):
             return [float(count(project_mark_set(mc, {i}), w)),
                     float(count(project_mark_set(mc, {j}), w))]
-    else:
-        raise ValueError("cross_correlation: needs split or mark construction")
     mat = replicate_matrix(plan.sample, evaluate, 2, R, rng)
     rep = correlation_check(mat[:, 0], mat[:, 1],
                             level=float(item.get("level", 0.0027)),
@@ -513,8 +543,6 @@ def _run_cross_correlation(plan, spec, item, rng):
 
 
 def _run_dissociation(plan, spec, item, rng):
-    if plan.kind != "split":
-        raise ValueError("dissociation: needs the split construction")
     K = int(item.get("K", 8))
     i, j = item.get("pair", (0, 1))
     rep = _exact_check(
@@ -563,8 +591,6 @@ def _run_diagonal_weight(plan, spec, item, rng):
 
 
 def _run_round_trip(plan, spec, item, rng):
-    if plan.kind not in ("sushi", "id"):
-        raise ValueError("round_trip: needs a cluster construction")
     K_max = int(item.get("K_max", 2 * plan.sushi.K_support))
 
     def failed(v) -> bool:
@@ -583,16 +609,11 @@ def _run_round_trip(plan, spec, item, rng):
 
 
 def _run_two_sample_vs(plan, spec, item, rng):
-    if plan.kind not in ("sushi", "id"):
-        raise ValueError("two_sample_vs: needs a cluster construction")
     other = item.get("other", "sushi" if plan.kind == "id" else "id")
     w = _item_window(plan, item)
     R = _item_R(spec, item)
     level = float(item.get("level", 0.001))
-    if other not in ("sushi", "id"):
-        raise ValueError("two_sample_vs: other must be sushi or id")
-    other_sampler = sample_sushi if other == "sushi" else sample_id_measure
-    other_sample = lambda r: other_sampler(plan.sushi, plan.sampling_window, r)
+    other_sample = _cluster_sampler(other, plan.sushi, plan.sampling_window)
 
     def masses(sampler, branch) -> np.ndarray:
         def evaluate(v) -> list[float]:
@@ -620,10 +641,8 @@ def _run_variance(plan, spec, item, rng):
         target = float(sushi_variance(plan.sushi, w))
     elif plan.kind == "poisson":
         target = float(plan.intensity.alpha * w.length)
-    elif plan.kind == "split":
-        target = float(plan.intensity.alpha * plan.probs[component] * w.length)
     else:
-        raise ValueError("variance: closed form known for poisson/split/sushi/id only")
+        target = float(plan.intensity.alpha * plan.probs[component] * w.length)
     rep = variance_check(masses, target, level=level,
                          name=f"variance[{w}]", seed=spec.seed)
     return [rep], {"masses": masses}

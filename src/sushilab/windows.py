@@ -95,6 +95,16 @@ class Window:
     def __init__(self, parts: Iterable[Interval] = ()) -> None:
         object.__setattr__(self, "parts", _canonicalize(parts))
 
+    def __hash__(self) -> int:
+        # The parts are immutable, so the hash is computed once: windows key
+        # the counting layer's caches, and hashing their Fraction endpoints
+        # on every lookup would cost more than the lookup saves.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self.parts)
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @staticmethod
     def span(lo: RatLike, hi: RatLike) -> "Window":
         """Single-interval window ``[lo, hi)``."""

@@ -48,6 +48,13 @@ class TestOrbitCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[-1] == "-2,-2"
 
+    def test_unresolvable_orbit_exits_two(self, capsys):
+        # 0 is the base of the chacon3 tower: T^-1 is undefined at every stage
+        assert main(["orbit", "chacon3", "0", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: T^-1 undefined at 0")
+        assert captured.out == ""
+
     def test_chacon3_matches_library(self, capsys):
         assert main(["orbit", "chacon3", "97/200", "6"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()[1:]

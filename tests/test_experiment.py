@@ -144,6 +144,39 @@ class TestSpecParsing:
                 "battery[1].window: bad interval literal '0..1'")):
             run(ExperimentSpec.from_dict(d))
 
+    @pytest.mark.parametrize("test,construction,params", [
+        ("cross_correlation", "poisson", {}),
+        ("cross_correlation", "thin", {"kappa": "1"}),
+        ("dissociation", "mark", {"mark_probs": ["1/2", "1/2"]}),
+        ("round_trip", "split", {"probs": ["1/2", "1/2"]}),
+        ("two_sample_vs", "poisson", {}),
+        ("variance", "thin", {"kappa": "1"}),
+        ("variance", "mark", {"mark_probs": ["1/2", "1/2"]}),
+    ])
+    def test_test_suits_construction_before_sampling(self, monkeypatch, test,
+                                                      construction, params):
+        from sushilab import cluster, experiment
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the spec was validated")
+
+        monkeypatch.setattr(experiment, "sample_poisson", no_sampling)
+        monkeypatch.setattr(cluster, "sample_poisson", no_sampling)
+        d = minimal_spec(construction=construction, params=params,
+                         battery=[{"test": "intensity"}, {"test": test}])
+        with pytest.raises(ValueError, match=re.escape(
+                f"battery[1].test: {test} needs the ") + ".*"
+                + re.escape(f"construction, not {construction}")):
+            run(ExperimentSpec.from_dict(d))
+
+    def test_two_sample_other_checked_at_load(self):
+        d = minimal_spec(construction="sushi",
+                         params={"c": "1/2", "law": [{"prob": "1", "weights": {"0": "1"}}]},
+                         battery=[{"test": "two_sample_vs", "other": "poisson"}])
+        with pytest.raises(ValueError, match=re.escape(
+                "battery[0].other: must be sushi or id")):
+            ExperimentSpec.from_dict(d)
+
     def test_from_json(self):
         spec = ExperimentSpec.from_json(json.dumps(minimal_spec()))
         assert spec.seed == 7

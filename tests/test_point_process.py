@@ -239,10 +239,10 @@ def test_coincident_points_resample_then_error():
 
     from sushilab.point_process import _sample_part_positions
 
-    ok = _sample_part_positions(Stub(False), F(0), F(1), 3)
+    ok = _sample_part_positions(Stub(False), 3)
     assert len(ok) == 3  # one resample allowed
     with pytest.raises(RuntimeError):
-        _sample_part_positions(Stub(True), F(0), F(1), 3)
+        _sample_part_positions(Stub(True), 3)
 
 
 def test_dump_csv_format():
@@ -257,3 +257,50 @@ def test_dump_csv_format():
     buf2 = io.StringIO()
     dump_csv(PointConfig((F(1, 3),), parse_window("[0,1)")), buf2)
     assert buf2.getvalue().splitlines()[2] == "1/3,1"
+
+
+def test_part_of_mean_700_draws_as_one_inversion():
+    # mean 700 exactly: one count, then the positions, as the contract says
+    c = sample_poisson(IntensitySpec(1), parse_window("[0,700)"), Rng(3, 4))
+    g = Rng(3, 4)
+    n = g.poisson_count(700.0)
+    ks = np.unique(g.integers(0, 1 << 53, n))
+    assert c.points == tuple(F(int(k), 1 << 53) * 700 for k in ks)
+
+
+def test_part_above_mean_700_is_cut_into_equal_sub_parts():
+    w = parse_window("[0,701)")
+    c = sample_poisson(IntensitySpec(1), w, Rng(3, 4))
+    # two sub-parts of mean 350.5, each with its own count, then positions
+    g = Rng(3, 4)
+    n0, n1 = g.poisson_count(350.5), g.poisson_count(350.5)
+    k0 = np.unique(g.integers(0, 1 << 53, n0))
+    k1 = np.unique(g.integers(0, 1 << 53, n1))
+    half = F(701, 2)
+    expect = [F(int(k), 1 << 53) * half for k in k0]
+    expect += [half + F(int(k), 1 << 53) * half for k in k1]
+    assert c.points == tuple(expect)
+    assert count(c, w) == len(c) == n0 + n1
+    counts = [len(sample_poisson(IntensitySpec(1), w, Rng(5, r))) for r in range(200)]
+    assert abs(np.mean(counts) - 701) < 5 * np.sqrt(701 / 200)
+
+
+def test_count_replicates_above_mean_700():
+    cells = [parse_window("[0,701)"), parse_window("[701,702)")]
+    table = count_replicates(IntensitySpec(1), cells, Rng(8, 1), 400, chunk=128)
+    assert abs(table[:, 0].mean() - 701) < 5 * np.sqrt(701 / 400)
+    # the big cell draws two uniforms per replicate, then the small one
+    g = Rng(8, 1).child(0)
+    first = g.poisson_count(350.5) + g.poisson_count(350.5)
+    assert table[0].tolist() == [first, g.poisson_count(1.0)]
+    small = count_replicates(IntensitySpec(1), [parse_window("[0,700)")],
+                             Rng(8, 1), 10)
+    g = Rng(8, 1).child(0)
+    assert small[:, 0].tolist() == [g.poisson_count(700.0) for _ in range(10)]
+
+
+def test_poisson_cdf_table_cached_read_only():
+    table = poisson_cdf_table(3.5)
+    assert poisson_cdf_table(3.5) is table
+    with pytest.raises(ValueError):
+        table[0] = 0.0
