@@ -14,11 +14,10 @@ from sushilab import (
     Translation,
     Window,
     bernoulli_split,
-    count,
+    count_matrix,
     dissociation_check,
     mixed_moment_factorization,
     poisson_gof,
-    replicate_matrix,
     sample_poisson,
 )
 
@@ -32,9 +31,8 @@ print("one split realization:",
       [len(c.points) for c in comps], "points per component")
 
 R = 5000
-mat = replicate_matrix(sampler,
-                       lambda cs: [float(count(c, W)) for c in cs],
-                       3, R, Rng(3, 11))
+# column (j, W) counts the points of component j in W, one row per replicate
+mat = count_matrix(sampler, [(j, W) for j in range(3)], R, Rng(3, 11))
 for j, p in enumerate(probs):
     rep = poisson_gof(mat[:, j].astype(int), float(10 * p))
     print(f"component {j}: rate {mat[:, j].mean() / 10:.4f} vs {p}, "

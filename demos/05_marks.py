@@ -2,8 +2,8 @@
 
 Attaching an i.i.d. label to every point produces a marked process whose
 slice at mark j is Poisson with intensity alpha * rho(j), and the slices
-are independent.  Projections recover plain configurations, so all the
-counting tools apply per mark.
+are independent.  Projections recover plain configurations, and the count
+matrix counts each mark directly.
 """
 
 import math
@@ -16,10 +16,9 @@ from sushilab import (
     Rng,
     Window,
     attach_marks,
-    count,
+    count_matrix,
     poisson_gof,
     project_mark_set,
-    replicate_matrix,
     sample_poisson,
 )
 
@@ -37,10 +36,8 @@ slice1 = project_mark_set(mc, {1})
 print(f"projection to mark 1: {len(slice1.points)} points")
 
 R = 5000
-mat = replicate_matrix(
-    sampler,
-    lambda mc: [float(count(project_mark_set(mc, {j}), W)) for j in range(3)],
-    3, R, Rng(5, 1))
+# column (j, W) counts the points of mark j in W, one row per replicate
+mat = count_matrix(sampler, [(j, W) for j in range(3)], R, Rng(5, 1))
 
 for j in range(3):
     rep = poisson_gof(mat[:, j].astype(int), float(10 * rho[j]))

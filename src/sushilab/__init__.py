@@ -47,6 +47,7 @@ from .point_process import (
     WeightedConfig,
     count,
     count_replicates,
+    counts,
     dissociation_check,
     dump_csv,
     free_check,
@@ -85,6 +86,7 @@ from .moments import (
     diagonal_weight,
     estimate_moment,
     fit_partition_decomposition,
+    count_matrix,
     m_pi,
     partitions,
     replicate_matrix,

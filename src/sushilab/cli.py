@@ -38,9 +38,8 @@ from .experiment import (
     run,
 )
 from .dynamics import DEFAULT_MAX_STAGE, OrbitError, orbit
-from .moments import replicate_matrix
-from .point_process import Rng, count
-from .split_mark import project_mark_set
+from .moments import count_matrix
+from .point_process import Rng
 from .stats import correlation_check, dispersion_index_test
 from .windows import as_rat, format_rat
 
@@ -114,10 +113,9 @@ def _summary_spec(args, construction: str, params: dict,
     return spec, _build_plan(spec)
 
 
-def _summary_matrix(spec, plan, evaluate, width: int):
-    """Replicate matrix on Rng(seed, 1), the stream of battery item 0."""
-    return replicate_matrix(plan.sample, evaluate, width, spec.replicates,
-                            Rng(spec.seed, 1))
+def _summary_matrix(spec, plan, columns):
+    """Count matrix on Rng(seed, 1), the stream of battery item 0."""
+    return count_matrix(plan.sample, columns, spec.replicates, Rng(spec.seed, 1))
 
 
 def _finish(summary: dict, spec, plan, out) -> int:
@@ -132,19 +130,21 @@ def _finish(summary: dict, spec, plan, out) -> int:
 
 
 def _cmd_split(args) -> int:
-    spec, plan = _summary_spec(args, "split", {"probs": args.probs.split(",")})
+    """The split or mark summary: the rate of each component or mark."""
+    kind = args.command
+    key, rates = (("probs", "component_rates") if kind == "split"
+                  else ("mark_probs", "mark_rates"))
+    spec, plan = _summary_spec(args, kind, {key: args.probs.split(",")})
     W, probs, alpha = plan.observed, plan.probs, spec.intensity.alpha
-    mat = _summary_matrix(spec, plan,
-                          lambda comps: [float(count(c, W)) for c in comps],
-                          len(probs))
+    mat = _summary_matrix(spec, plan, [(j, W) for j in range(len(probs))])
     length = float(W.length)
     summary = {
         "window": str(W),
         "intensity": format_rat(alpha),
-        "probs": [format_rat(p) for p in probs],
+        key: [format_rat(p) for p in probs],
         "replicates": spec.replicates,
         "seed": spec.seed,
-        "component_rates": [float(c) / length for c in mat.mean(axis=0)],
+        rates: [float(c) / length for c in mat.mean(axis=0)],
         "target_rates": [float(alpha * p) for p in probs],
     }
     if len(probs) >= 2:
@@ -156,7 +156,7 @@ def _cmd_split(args) -> int:
 def _cmd_thin(args) -> int:
     spec, plan = _summary_spec(args, "thin", {"kappa": args.kappa})
     core, alpha = plan.observed, spec.intensity.alpha
-    mat = _summary_matrix(spec, plan, lambda c: [float(count(c, core))], 1)
+    mat = _summary_matrix(spec, plan, [(None, core)])
     counts = mat[:, 0].astype(int)
     a = float(alpha)
     summary = {
@@ -174,30 +174,6 @@ def _cmd_thin(args) -> int:
     return _finish(summary, spec, plan, args.out)
 
 
-def _cmd_mark(args) -> int:
-    spec, plan = _summary_spec(args, "mark",
-                               {"mark_probs": args.probs.split(",")})
-    W, probs, alpha = plan.observed, plan.probs, spec.intensity.alpha
-    nmarks = len(probs)
-    evaluate = lambda mc: [float(count(project_mark_set(mc, {j}), W))
-                           for j in range(nmarks)]
-    mat = _summary_matrix(spec, plan, evaluate, nmarks)
-    length = float(W.length)
-    summary = {
-        "window": str(W),
-        "intensity": format_rat(alpha),
-        "mark_probs": [format_rat(p) for p in probs],
-        "replicates": spec.replicates,
-        "seed": spec.seed,
-        "mark_rates": [float(c) / length for c in mat.mean(axis=0)],
-        "target_rates": [float(alpha * p) for p in probs],
-    }
-    if nmarks >= 2:
-        summary["cross_correlation"] = _report_brief(
-            correlation_check(mat[:, 0], mat[:, 1]))
-    return _finish(summary, spec, plan, args.out)
-
-
 def _cmd_sushi(args) -> int:
     law = Path(args.law).read_text() if Path(args.law).exists() else args.law
     spec, plan = _summary_spec(args, "sushi",
@@ -206,7 +182,7 @@ def _cmd_sushi(args) -> int:
     W, sspec = plan.observed, plan.sushi
     mean = sushi_mean(sspec, W)
     var = sushi_variance(sspec, W)
-    mat = _summary_matrix(spec, plan, lambda v: [float(count(v, W))], 1)
+    mat = _summary_matrix(spec, plan, [(None, W)])
     masses = mat[:, 0]
     R = spec.replicates
     emp_mean = float(masses.mean())
@@ -276,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mark", help="independent marking summary")
     common(p)
     p.add_argument("--probs", default="1/2,1/3,1/6")
-    p.set_defaults(fn=_cmd_mark)
+    p.set_defaults(fn=_cmd_split)
 
     p = sub.add_parser("sushi", help="cluster measure vs closed forms")
     common(p, window="[0,8)")

@@ -49,6 +49,7 @@ from .dynamics import (
     recipe_from_arrays,
 )
 from .moments import (
+    count_matrix,
     default_design,
     diagonal_weight,
     fit_partition_decomposition,
@@ -57,14 +58,13 @@ from .moments import (
 )
 from .point_process import (
     Rng,
-    count,
     count_replicates,
     dissociation_check,
     dump_csv,
     free_check,
     sample_poisson,
 )
-from .split_mark import attach_marks, bernoulli_split, project_mark_set, separation_thin
+from .split_mark import attach_marks, bernoulli_split, separation_thin
 from .stats import (
     TestReport,
     cesaro_factorization,
@@ -196,33 +196,28 @@ class ExperimentSpec:
         for i, item in enumerate(battery):
             if not isinstance(item, Mapping) or "test" not in item:
                 raise ValueError(f"battery[{i}]: needs a 'test' name")
-            if item["test"] not in _TEST_REGISTRY:
+            if item["test"] not in _TESTS:
                 raise ValueError(
                     f"battery[{i}]: unknown test {item['test']!r}"
                 )
-            needs = _CONSTRUCTIONS_FOR.get(item["test"], construction)
+            if item.get("expect", "pass") not in ("pass", "reject"):
+                raise ValueError(f"battery[{i}]: expect must be pass or reject")
+            _, needs, checks = _TESTS[item["test"]]
+            for key, (required, check) in {"window": (False, parse_window),
+                                           **checks}.items():
+                if key not in item:
+                    if required:
+                        raise ValueError(
+                            f"battery[{i}].{key}: required for {item['test']}")
+                    continue
+                try:
+                    check(item[key])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"battery[{i}].{key}: {exc}") from exc
             if construction not in needs:
                 raise ValueError(
                     f"battery[{i}].test: {item['test']} needs the "
                     f"{' or '.join(needs)} construction, not {construction}")
-            if item.get("expect", "pass") not in ("pass", "reject"):
-                raise ValueError(f"battery[{i}]: expect must be pass or reject")
-            for key, parse in _REQUIRED_PARAMS.get(item["test"], {}).items():
-                if key not in item:
-                    raise ValueError(
-                        f"battery[{i}].{key}: required for {item['test']}")
-                try:
-                    parse(item[key])
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"battery[{i}].{key}: {exc}") from exc
-            if item["test"] == "two_sample_vs" and \
-                    item.get("other", "sushi") not in ("sushi", "id"):
-                raise ValueError(f"battery[{i}].other: must be sushi or id")
-            if "window" in item:
-                try:
-                    parse_window(item["window"])
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"battery[{i}].window: {exc}") from exc
         replicates = need("replicates", int)
         if replicates < 100:
             raise ValueError("replicates: must be at least 100")
@@ -241,8 +236,7 @@ class ExperimentSpec:
         )
         plan = _build_plan(spec)  # validate construction preconditions before sampling
         for i, item in enumerate(spec.battery):
-            if item["test"] in _COMPONENT_TESTS:
-                _check_component(plan, item, f"battery[{i}].component")
+            _check_selectors(plan, item, f"battery[{i}]")
         return spec
 
     @staticmethod
@@ -298,14 +292,10 @@ def _build_plan(spec: ExperimentSpec) -> _Plan:
         probs = tuple(as_rat(p) for p in raw_probs)
         if any(p < 0 for p in probs) or sum(probs) != 1:
             raise ValueError(f"params.{key}: must be nonnegative, summing to 1")
-        if kind == "split":
-            def sample(rng, probs=probs):
-                return bernoulli_split(sample_poisson(alphaspec, W, rng),
-                                       probs, rng)
-        else:
-            def sample(rng, probs=probs):
-                return attach_marks(sample_poisson(alphaspec, W, rng),
-                                    probs, rng)
+        draw = bernoulli_split if kind == "split" else attach_marks
+
+        def sample(rng, probs=probs):
+            return draw(sample_poisson(alphaspec, W, rng), probs, rng)
         return _Plan(kind, T, alphaspec, W, W, sample, probs=probs)
     if kind == "thin":
         kappa = as_rat(params.get("kappa", 1))
@@ -363,9 +353,9 @@ def _item_R(spec: ExperimentSpec, item: Mapping) -> int:
     return int(item.get("replicates", spec.replicates))
 
 
-def _item_window(plan: _Plan, item: Mapping, key: str = "window") -> Window:
-    if key in item:
-        return parse_window(item[key])
+def _item_window(plan: _Plan, item: Mapping) -> Window:
+    if "window" in item:
+        return parse_window(item["window"])
     return plan.observed
 
 
@@ -373,56 +363,77 @@ def _parse_windows(texts) -> list[Window]:
     return [parse_window(t) for t in texts]
 
 
-# Parameters a test cannot run without, each with the parser that must
-# accept it; ExperimentSpec.from_dict checks them before any sampling.
-_REQUIRED_PARAMS: dict[str, dict[str, Callable]] = {
-    "covariance": {"A": parse_window, "B": parse_window},
-    "mixed_moment": {"groupings": lambda gs: [_parse_windows(g) for g in gs]},
-    "cesaro": {"windows": _parse_windows},
-}
+def _int_in(lo: int, hi: float = math.inf) -> Callable:
+    """Check that a parameter is an integer in lo..hi."""
+    def check(v) -> None:
+        if type(v) is not int or not lo <= v <= hi:
+            raise ValueError(f"must be an integer in {lo}..{hi}")
+    return check
 
 
-# Tests that only some constructions can run: the split or marked components
-# they correlate, the orbit coding or second sampler of a cluster measure,
-# or a closed-form variance.  ExperimentSpec.from_dict checks them at load.
-_CONSTRUCTIONS_FOR: dict[str, tuple[str, ...]] = {
-    "cross_correlation": ("split", "mark"),
-    "dissociation": ("split",),
-    "round_trip": ("sushi", "id"),
-    "two_sample_vs": ("sushi", "id"),
-    "variance": ("poisson", "split", "sushi", "id"),
-}
+def _check_selectors(plan: _Plan, item: Mapping, at: str) -> None:
+    """The components, marks, windows and samplers an item names exist: a
+    counting test needs ``component`` on a split and allows ``mark`` on a
+    mark construction; ``pair`` and ``groupings`` index components or
+    marks, cesaro ``K`` its windows."""
+    test, n = item["test"], len(plan.probs or ())
+    indices = []  # (key, the indices it names, their bound)
+    if test in ("poisson_gof", "intensity", "dispersion", "variance"):
+        for key, kind in (("component", "split"), ("mark", "mark")):
+            if item.get(key) is None:
+                if plan.kind == kind == "split":
+                    raise ValueError(f"{at}.{key}: required for {test} on a split")
+            elif plan.kind != kind:
+                raise ValueError(f"{at}.{key}: only the {kind} construction "
+                                 f"has {key}s")
+            else:
+                indices.append((key, [item[key]], n))
+    if test in ("cross_correlation", "dissociation"):
+        indices.append(("pair", item.get("pair", [0, 1]), n))
+    groups = item.get("groupings")
+    if test == "mixed_moment" and (not 0 < len(groups) <= n or not all(groups)):
+        what = "component" if plan.kind == "split" else "mark"
+        raise ValueError(f"{at}.groupings: must be 1 to {n} nonempty "
+                         f"groups, at most one per {what}")
+    if test == "cesaro":
+        indices.append(("K", item.get("K", [0]), len(item["windows"])))
+    if test == "two_sample_vs" and item.get("other", "id") not in ("sushi", "id"):
+        raise ValueError(f"{at}.other: must be sushi or id")
+    for key, values, bound in indices:
+        if not isinstance(values, list) or \
+                (key == "pair" and len(values) != 2) or \
+                any(type(v) is not int or not 0 <= v < bound for v in values):
+            what = {"pair": "two integers", "K": "a list of integers"}
+            raise ValueError(f"{at}.{key}: must be "
+                             f"{what.get(key, 'an integer')} in [0, {bound})")
 
 
-# Tests that count one split component, named by the item's ``component``.
-_COMPONENT_TESTS = ("poisson_gof", "intensity", "dispersion", "variance")
+def _selector(plan: _Plan, item: Mapping):
+    """The item's split component or mark, or None for the whole sample."""
+    return item.get("component" if plan.kind == "split" else "mark")
 
 
-def _check_component(plan: _Plan, item: Mapping, field: str) -> None:
-    """``component`` is required on a split and must index its probs;
-    other constructions have no components."""
-    component = item.get("component")
-    if plan.kind != "split":
-        if component is not None:
-            raise ValueError(f"{field}: only the split construction has components")
-        return
-    if component is None:
-        raise ValueError(f"{field}: required for {item['test']} on a split")
-    n = len(plan.probs)
-    if type(component) is not int or not 0 <= component < n:
-        raise ValueError(f"{field}: must be an integer in [0, {n})")
+def _item_counts(plan, spec, item, rng) -> tuple[Window, int, np.ndarray]:
+    """The item's window w, its R, and per replicate N(w) of its split
+    component or mark (of the whole realization when it names none)."""
+    w, R = _item_window(plan, item), _item_R(spec, item)
+    return w, R, count_matrix(plan.sample, [(_selector(plan, item), w)], R,
+                              rng)[:, 0]
 
 
-def _mass_vector(plan: _Plan, w: Window, R: int, rng: Rng,
-                 component=None, mark=None) -> np.ndarray:
-    def evaluate(out) -> list[float]:
-        if component is not None:
-            out = out[component]
-        elif mark is not None:
-            out = project_mark_set(out, {mark})
-        return [float(count(out, w))]
+def _integers(vec: np.ndarray, test: str) -> np.ndarray:
+    counts = vec.astype(np.int64)
+    if not np.array_equal(vec, counts):
+        raise ValueError(f"{test}: non-integer masses; use integer weights")
+    return counts
 
-    return replicate_matrix(plan.sample, evaluate, 1, R, rng)[:, 0]
+
+def _expected(plan: _Plan, item: Mapping, w: Window) -> float:
+    """Expected N(w) of the item's component or mark, or of the sample."""
+    j = _selector(plan, item)
+    if j is None:
+        return plan.mean_mass(w)
+    return float(plan.intensity.alpha * plan.probs[j] * w.length)
 
 
 def _exact_check(plan, spec, item, rng, name: str, failed) -> TestReport:
@@ -436,28 +447,18 @@ def _exact_check(plan, spec, item, rng, name: str, failed) -> TestReport:
 
 
 def _run_poisson_gof(plan, spec, item, rng):
-    w = _item_window(plan, item)
-    R = _item_R(spec, item)
     level = float(item.get("level", 0.01))
-    component = item.get("component")
-    mark = item.get("mark")
-    label = ""
-    if plan.kind == "poisson" and component is None and mark is None:
-        counts = count_replicates(plan.intensity, [w], rng, R)[:, 0]
-        mean = float(plan.intensity.alpha * w.length)
+    j = _selector(plan, item)
+    label = "" if j is None else \
+        f"[{'component' if plan.kind == 'split' else 'mark'} {j}]"
+    if plan.kind == "poisson":
+        w = _item_window(plan, item)
+        counts = count_replicates(plan.intensity, [w], rng,
+                                  _item_R(spec, item))[:, 0]
     else:
-        vec = _mass_vector(plan, w, R, rng, component=component, mark=mark)
-        counts = vec.astype(np.int64)
-        if not np.array_equal(vec, counts):
-            raise ValueError("poisson_gof: non-integer masses")
-        if component is not None:
-            mean = float(plan.intensity.alpha * plan.probs[component] * w.length)
-            label = f"[component {component}]"
-        elif mark is not None:
-            mean = float(plan.intensity.alpha * plan.probs[mark] * w.length)
-            label = f"[mark {mark}]"
-        else:
-            mean = plan.mean_mass(w)
+        w, _, vec = _item_counts(plan, spec, item, rng)
+        counts = _integers(vec, "poisson_gof")
+    mean = _expected(plan, item, w)
     if item.get("mean") == "empirical":
         mean = float(counts.mean())
         label += "[matched-mean]"
@@ -469,22 +470,12 @@ def _run_poisson_gof(plan, spec, item, rng):
 
 
 def _run_intensity(plan, spec, item, rng):
-    w = _item_window(plan, item)
-    R = _item_R(spec, item)
     level = float(item.get("level", 0.01))
-    masses = _mass_vector(plan, w, R, rng,
-                          component=item.get("component"),
-                          mark=item.get("mark"))
+    w, R, masses = _item_counts(plan, spec, item, rng)
     if "target" in item:
         target = float(as_rat(item["target"]) * w.length)
-    elif item.get("component") is not None:
-        target = float(plan.intensity.alpha
-                       * plan.probs[item["component"]] * w.length)
-    elif item.get("mark") is not None:
-        target = float(plan.intensity.alpha
-                       * plan.probs[item["mark"]] * w.length)
     else:
-        target = plan.mean_mass(w)
+        target = _expected(plan, item, w)
     se = float(masses.std(ddof=1) / math.sqrt(R))
     rep = z_test_report(f"intensity[{w}]",
                         float(masses.mean()), target, se, level,
@@ -493,15 +484,10 @@ def _run_intensity(plan, spec, item, rng):
 
 
 def _run_dispersion(plan, spec, item, rng):
-    w = _item_window(plan, item)
-    R = _item_R(spec, item)
     level = float(item.get("level", 0.001))
     default_alt = "under" if plan.kind == "thin" else "two-sided"
     alternative = item.get("alternative", default_alt)
-    vec = _mass_vector(plan, w, R, rng, component=item.get("component"))
-    counts = vec.astype(np.int64)
-    if not np.array_equal(vec, counts):
-        raise ValueError("dispersion: non-integer masses")
+    counts = _integers(_item_counts(plan, spec, item, rng)[2], "dispersion")
     rep = dispersion_index_test(counts, level=level, alternative=alternative,
                                 seed=spec.seed)
     return [rep], {"counts": counts}
@@ -528,14 +514,7 @@ def _run_cross_correlation(plan, spec, item, rng):
     i, j = item.get("pair", (0, 1))
     w = _item_window(plan, item)
     R = _item_R(spec, item)
-    if plan.kind == "split":
-        def evaluate(comps):
-            return [float(count(comps[i], w)), float(count(comps[j], w))]
-    else:
-        def evaluate(mc):
-            return [float(count(project_mark_set(mc, {i}), w)),
-                    float(count(project_mark_set(mc, {j}), w))]
-    mat = replicate_matrix(plan.sample, evaluate, 2, R, rng)
+    mat = count_matrix(plan.sample, [(i, w), (j, w)], R, rng)
     rep = correlation_check(mat[:, 0], mat[:, 1],
                             level=float(item.get("level", 0.0027)),
                             name=f"cross_correlation[{i},{j}]", seed=spec.seed)
@@ -543,7 +522,7 @@ def _run_cross_correlation(plan, spec, item, rng):
 
 
 def _run_dissociation(plan, spec, item, rng):
-    K = int(item.get("K", 8))
+    K = item.get("K", 8)
     i, j = item.get("pair", (0, 1))
     rep = _exact_check(
         plan, spec, item, rng, f"dissociation[K={K}]",
@@ -552,14 +531,14 @@ def _run_dissociation(plan, spec, item, rng):
 
 
 def _run_free(plan, spec, item, rng):
-    K = int(item.get("K", 8))
+    K = item.get("K", 8)
     rep = _exact_check(plan, spec, item, rng, f"free[K={K}]",
                        lambda config: not free_check(config, plan.T, K))
     return [rep], {}
 
 
 def _run_moment_fit(plan, spec, item, rng):
-    n = int(item.get("n", 2))
+    n = item.get("n", 2)
     R = _item_R(spec, item)
     level = float(item.get("level", 0.01))
     design = default_design(n)
@@ -579,8 +558,8 @@ def _run_moment_fit(plan, spec, item, rng):
 
 def _run_diagonal_weight(plan, spec, item, rng):
     w = _item_window(plan, item)
-    n = int(item.get("n", 2))
-    depth = int(item.get("depth", 8))
+    n = item.get("n", 2)
+    depth = item.get("depth", 8)
     R = _item_R(spec, item)
     level = float(item.get("level", 0.01))
     res = diagonal_weight(plan.sample, w, n, depth, R, rng)
@@ -614,17 +593,9 @@ def _run_two_sample_vs(plan, spec, item, rng):
     R = _item_R(spec, item)
     level = float(item.get("level", 0.001))
     other_sample = _cluster_sampler(other, plan.sushi, plan.sampling_window)
-
-    def masses(sampler, branch) -> np.ndarray:
-        def evaluate(v) -> list[float]:
-            return [float(count(v, w))]
-        return replicate_matrix(sampler, evaluate, 1, R, rng.child(branch))[:, 0]
-
-    a = masses(plan.sample, 0)
-    b = masses(other_sample, 1)
-    ia, ib = a.astype(np.int64), b.astype(np.int64)
-    if not (np.array_equal(a, ia) and np.array_equal(b, ib)):
-        raise ValueError("two_sample_vs: non-integer masses; use integer weights")
+    a = count_matrix(plan.sample, [(None, w)], R, rng.child(0))[:, 0]
+    b = count_matrix(other_sample, [(None, w)], R, rng.child(1))[:, 0]
+    ia, ib = _integers(a, "two_sample_vs"), _integers(b, "two_sample_vs")
     rep = two_sample_count_test(ia, ib, level=level,
                                 name=f"two_sample[{plan.kind} vs {other}]",
                                 seed=spec.seed)
@@ -632,17 +603,12 @@ def _run_two_sample_vs(plan, spec, item, rng):
 
 
 def _run_variance(plan, spec, item, rng):
-    w = _item_window(plan, item)
-    R = _item_R(spec, item)
     level = float(item.get("level", 0.01))
-    component = item.get("component")
-    masses = _mass_vector(plan, w, R, rng, component=component)
+    w, _, masses = _item_counts(plan, spec, item, rng)
     if plan.kind in ("sushi", "id"):
         target = float(sushi_variance(plan.sushi, w))
-    elif plan.kind == "poisson":
-        target = float(plan.intensity.alpha * w.length)
     else:
-        target = float(plan.intensity.alpha * plan.probs[component] * w.length)
+        target = _expected(plan, item, w)
     rep = variance_check(masses, target, level=level,
                          name=f"variance[{w}]", seed=spec.seed)
     return [rep], {"masses": masses}
@@ -650,8 +616,8 @@ def _run_variance(plan, spec, item, rng):
 
 def _run_cesaro(plan, spec, item, rng):
     windows = _parse_windows(item["windows"])
-    K = [int(i) for i in item.get("K", [0])]
-    L = int(item.get("L", 16))
+    K = item.get("K", [0])
+    L = item.get("L", 16)
     R = _item_R(spec, item)
     res = cesaro_factorization(plan.sample, plan.T, windows, K, L, R, rng,
                                level=float(item.get("level", 0.01)))
@@ -659,21 +625,36 @@ def _run_cesaro(plan, spec, item, rng):
                           "averages": np.array(res.averages)}
 
 
-_TEST_REGISTRY: dict[str, Callable] = {
-    "poisson_gof": _run_poisson_gof,
-    "intensity": _run_intensity,
-    "dispersion": _run_dispersion,
-    "covariance": _run_covariance,
-    "mixed_moment": _run_mixed_moment,
-    "cross_correlation": _run_cross_correlation,
-    "dissociation": _run_dissociation,
-    "free": _run_free,
-    "moment_fit": _run_moment_fit,
-    "diagonal_weight": _run_diagonal_weight,
-    "round_trip": _run_round_trip,
-    "two_sample_vs": _run_two_sample_vs,
-    "variance": _run_variance,
-    "cesaro": _run_cesaro,
+_NOT_SPLIT = ("poisson", "thin", "mark", "sushi", "id")
+_WINDOW = (True, parse_window)
+
+# Each test: its runner, the constructions that can run it, and the item
+# parameters it reads as {key: (required, check)}; any item may also name a
+# ``window``.  A test suits only some constructions when it correlates
+# split or marked components, needs the orbit coding or second sampler of
+# a cluster measure, a closed-form variance, or simple points (``free``),
+# or counts the whole realization, which a split, a list of components,
+# lacks.  ExperimentSpec.from_dict applies all this before any sampling,
+# and _check_selectors the checks that depend on the construction.
+_TESTS: dict[str, tuple[Callable, tuple[str, ...], dict]] = {
+    "poisson_gof": (_run_poisson_gof, CONSTRUCTIONS, {}),
+    "intensity": (_run_intensity, CONSTRUCTIONS, {}),
+    "dispersion": (_run_dispersion, CONSTRUCTIONS, {}),
+    "covariance": (_run_covariance, _NOT_SPLIT, {"A": _WINDOW, "B": _WINDOW}),
+    "mixed_moment": (_run_mixed_moment, ("split", "mark"),
+                     {"groupings": (True, lambda g: list(map(_parse_windows, g)))}),
+    "cross_correlation": (_run_cross_correlation, ("split", "mark"), {}),
+    "dissociation": (_run_dissociation, ("split",), {"K": (False, _int_in(0))}),
+    "free": (_run_free, ("poisson", "thin", "mark"), {"K": (False, _int_in(1))}),
+    "moment_fit": (_run_moment_fit, _NOT_SPLIT, {"n": (False, _int_in(2, 3))}),
+    "diagonal_weight": (_run_diagonal_weight, _NOT_SPLIT,
+                        {"n": (False, _int_in(1, 4)),
+                         "depth": (False, _int_in(0, 12))}),
+    "round_trip": (_run_round_trip, ("sushi", "id"), {}),
+    "two_sample_vs": (_run_two_sample_vs, ("sushi", "id"), {}),
+    "variance": (_run_variance, ("poisson", "split", "sushi", "id"), {}),
+    "cesaro": (_run_cesaro, _NOT_SPLIT,
+               {"windows": (True, _parse_windows), "L": (False, _int_in(1))}),
 }
 
 
@@ -743,7 +724,7 @@ def run(spec: ExperimentSpec, threads: int = 1, out_dir=None,
     outcomes: list[dict] = []
     status = 0
     for i, item in enumerate(spec.battery):
-        runner = _TEST_REGISTRY[item["test"]]
+        runner = _TESTS[item["test"]][0]
         item_rng = Rng(spec.seed, i + 1)
         reps, raw = runner(plan, spec, item, item_rng)
         reports.extend(reps)

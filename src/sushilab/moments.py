@@ -9,6 +9,10 @@ intersection) with coefficient alpha^{#pi}.  This module estimates
 moments by Monte Carlo, fits the partition coefficients by exact linear
 algebra over a shipped design, and measures the weight sitting on the
 diagonal through dyadic refinements.
+
+Every estimate here reads one replicate x column count matrix
+(:func:`count_matrix`, one :func:`~sushilab.point_process.counts` row per
+replicate) and takes its products and sums with numpy, left to right.
 """
 
 from __future__ import annotations
@@ -17,12 +21,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .point_process import Config, Rng, WeightedConfig, count
-from .windows import IntensitySpec, Window
+from .point_process import Columns, Rng, counts
+from .windows import IntensitySpec, Interval, Window
 
 __all__ = [
     "Partition",
@@ -35,6 +40,7 @@ __all__ = [
     "DiagonalWeightResult",
     "diagonal_weight",
     "replicate_matrix",
+    "count_matrix",
 ]
 
 MAX_PARTITION_N = 6
@@ -138,14 +144,19 @@ def replicate_matrix(sampler: Sampler, evaluate: Callable[[object], Sequence[flo
     return out
 
 
-def _product_eval(windows: Sequence[Window]) -> Callable[[object], list[float]]:
-    def evaluate(config: object) -> list[float]:
-        prod = 1.0
-        for w in windows:
-            prod *= float(count(config, w))  # type: ignore[arg-type]
-        return [prod]
+def count_matrix(sampler: Sampler, columns, R: int, rng: Rng) -> np.ndarray:
+    """R x len(columns) matrix of exact counts: row r holds
+    ``counts(sample, columns)`` of the sample drawn from rng.child(r)."""
+    cols = Columns(columns)
+    return replicate_matrix(sampler, lambda s: counts(s, cols), len(cols), R, rng)
 
-    return evaluate
+
+def _products(mat: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Per row, the product of each run of sizes[i] consecutive columns of
+    mat; numpy multiplies a row left to right."""
+    ends = np.cumsum(sizes, dtype=int)
+    return np.column_stack([mat[:, e - k:e].prod(axis=1)
+                            for k, e in zip(sizes, ends)])
 
 
 def estimate_moment(sampler: Sampler, windows: Sequence[Window], R: int,
@@ -155,7 +166,8 @@ def estimate_moment(sampler: Sampler, windows: Sequence[Window], R: int,
         raise ValueError("R must be at least 100")
     if not 1 <= len(windows) <= MAX_ESTIMATION_N:
         raise ValueError(f"between 1 and {MAX_ESTIMATION_N} windows")
-    vals = replicate_matrix(sampler, _product_eval(windows), 1, R, rng)[:, 0]
+    mat = count_matrix(sampler, [(None, w) for w in windows], R, rng)
+    vals = _products(mat, [len(windows)])[:, 0]
     target = "E[" + " * ".join(f"N({w})" for w in windows) + "]"
     return MomentEstimate(
         float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(R)), R, target
@@ -234,12 +246,9 @@ def fit_partition_decomposition(
             "design cannot identify partition(s): " + "; ".join(missing)
         )
 
-    evaluators = [_product_eval(tup) for tup in design]
-
-    def evaluate(config: object) -> list[float]:
-        return [ev(config)[0] for ev in evaluators]
-
-    prods = replicate_matrix(sampler, evaluate, len(design), R, rng)
+    mat = count_matrix(sampler, [(None, w) for tup in design for w in tup],
+                       R, rng)
+    prods = _products(mat, [len(tup) for tup in design])
     mhat = prods.mean(axis=0)
     S = np.cov(prods, rowvar=False).reshape(len(design), len(design))
 
@@ -312,57 +321,44 @@ class DiagonalWeightResult:
         return self.stderrs[-1]
 
 
+def _dyadic_cells(A: Window, depth: int) -> list[Window]:
+    """The 2^d equal-length cells of A for d = 0..depth, level after level,
+    each level in cumulative-length order (a cell may straddle parts)."""
+    # each part with the length of A before it
+    parts = list(zip(A.parts, accumulate((p.length for p in A.parts),
+                                         initial=Fraction(0))))
+
+    def cell(s: Fraction, t: Fraction) -> Window:
+        return Window([Interval(p.lo + max(s - b, 0), p.lo + min(t - b, p.length))
+                       for p, b in parts if b < t and s < b + p.length])
+
+    total = A.length
+    return [cell(total * k / (1 << d), total * (k + 1) / (1 << d))
+            for d in range(depth + 1) for k in range(1 << d)]
+
+
 def diagonal_weight(sampler: Sampler, A: Window, n: int, depth: int, R: int,
                     rng: Rng) -> DiagonalWeightResult:
     """Diagonal mass via dyadic refinement: E[sum_i N(A_i^d)^n] per depth d.
 
     Cells are the 2^depth equal-length pieces of A in cumulative-length
-    order (cells may straddle part boundaries of a multi-part A).  Only
-    occupied cells are touched, so cost scales with points, not cells.
+    order (cells may straddle part boundaries of a multi-part A), and the
+    coarser levels' unions of them.  Each replicate counts every cell of
+    every level exactly and keeps only the depth + 1 sums over occupied
+    cells, so memory is R x (depth + 1).
     """
     if not 1 <= n <= MAX_ESTIMATION_N:
         raise ValueError(f"n must be in 1..{MAX_ESTIMATION_N}")
     if not 0 <= depth <= 12:
         raise ValueError("depth must be in 0..12")
-    total = A.length
-    if total <= 0:
+    if A.length <= 0:
         raise ValueError("window must have positive length")
-    ncells = 1 << depth
-    offsets = []
-    acc = Fraction(0)
-    for part in A.parts:
-        offsets.append((part.lo, part.hi, acc))
-        acc += part.length
+    cells = Columns([(None, w) for w in _dyadic_cells(A, depth)])
 
-    def cell_index(x: Fraction) -> int:
-        for lo, hi, base in offsets:
-            if lo <= x < hi:
-                off = base + (x - lo)
-                return min(int(off * ncells / total), ncells - 1)
-        raise ValueError(f"point {x} outside the refined window")
-
-    def evaluate(config: Config) -> list[float]:
-        masses: dict[int, Fraction] = {}
-        if isinstance(config, WeightedConfig):
-            items = config.atoms
-        else:
-            items = [(p, Fraction(1)) for p in config.points]
-        for p, w in items:
-            if p in A:
-                idx = cell_index(p)
-                masses[idx] = masses.get(idx, Fraction(0)) + w
-        row = []
-        level = masses
-        for d in range(depth, -1, -1):
-            row.append(sum(float(m) ** n for m in level.values()))
-            if d:
-                coarser: dict[int, Fraction] = {}
-                for idx, m in level.items():
-                    j = idx >> 1
-                    coarser[j] = coarser.get(j, Fraction(0)) + m
-                level = coarser
-        row.reverse()
-        return row
+    def evaluate(sample) -> list[float]:
+        row = counts(sample, cells)
+        levels = (row[(1 << d) - 1:(2 << d) - 1] for d in range(depth + 1))
+        return [sum(m ** n for m in lv[lv != 0].tolist()) for lv in levels]
 
     mat = replicate_matrix(sampler, evaluate, depth + 1, R, rng)
     means = mat.mean(axis=0)

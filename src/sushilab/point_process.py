@@ -19,6 +19,10 @@ work on them.  A window edge b becomes the exact integer threshold
 ``ceil((b - lo) * 2**53 / width)``, and a count is a ``searchsorted``.  The
 ``Fraction`` points are built only when ``.points`` is read.
 
+:func:`counts` gives N(A) of one realization for every column ``(j, A)``,
+j naming the whole realization (None), a split component or a mark, with
+one ``searchsorted`` per frame; :func:`count` is its one-column case.
+
 The count-only replication layer (:func:`count_replicates`) reuses the same
 inversion, vectorized over fixed-size chunks of derived streams, so parallel
 schedules cannot change any result.
@@ -31,7 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from itertools import accumulate
 from typing import IO, Sequence, Union
 
 import numpy as np
@@ -43,11 +47,14 @@ __all__ = [
     "Rng",
     "PointConfig",
     "WeightedConfig",
+    "MarkedConfig",
     "Config",
     "sample_poisson",
     "count_replicates",
     "push_forward",
     "superpose",
+    "Columns",
+    "counts",
     "count",
     "free_check",
     "dissociation_check",
@@ -156,10 +163,10 @@ class _Frame:
     """Lattice frame ``[lo, lo + width)``: index k stands for the point
     ``lo + k * width / 2**53``, for integer k in ``[0, 2**53)``.
 
-    It caches, per window, the index thresholds of the window's edges, and,
-    per kappa, the largest index gap of points at most kappa apart.  Both
-    caches are bounded; windows memoize their hash, and kappa is keyed by
-    its integer numerator and denominator, so a cache hit hashes no
+    It caches, per :class:`Columns`, the index thresholds of their edges,
+    and, per kappa, the largest index gap of points at most kappa apart.
+    Both caches are bounded; Columns hash by identity, and kappa is keyed
+    by its integer numerator and denominator, so a cache hit hashes no
     Fraction.
     """
 
@@ -182,19 +189,15 @@ class _Frame:
         """Least index whose point is >= x, clipped to [0, 2**53]."""
         return min(max(math.ceil((x - self.lo) * _GRID / self.width), 0), _GRID)
 
-    def cuts(self, A: Window) -> np.ndarray | None:
-        """Thresholds ``[t(a_1), t(b_1), t(a_2), ...]`` of A's parts that
-        meet the frame, or None when none does: the points in part i have
-        the indices in ``[t(a_i), t(b_i))``."""
+    def cuts(self, columns: "Columns") -> np.ndarray:
+        """The threshold of each edge of columns: the frame's points below an
+        edge are those with indices below its threshold."""
         try:
-            return self._cuts[A]
+            return self._cuts[columns]
         except KeyError:
             pass
-        hi = self.lo + self.width
-        ts = [self._threshold(x) for p in A.parts
-              if p.lo < hi and self.lo < p.hi for x in (p.lo, p.hi)]
-        return _cache_put(self._cuts, A,
-                          np.array(ts, dtype=np.uint64) if ts else None)
+        return _cache_put(self._cuts, columns, np.array(
+            [self._threshold(x) for x in columns.edges], dtype=np.uint64))
 
     def gap_bound(self, kappa: Fraction) -> int:
         """Largest index gap d with d * width / 2**53 <= kappa, capped at
@@ -234,16 +237,19 @@ def _layout(alpha_num: int, alpha_den: int, window: Window) -> _Layout:
     return _Layout(Fraction(alpha_num, alpha_den), window)
 
 
-def _first_outside(xs: Sequence, window: Window, key=None):
-    """The first of the sorted xs (or their keys) outside window, or None."""
-    done = 0
+def _check_points(pts: Sequence[Fraction], window: Window) -> None:
+    """Refuse points that are not strictly increasing or not in window: the
+    one check of every hand-built configuration."""
+    for a, b in zip(pts, pts[1:]):
+        if not a < b:
+            raise ValueError("points must be strictly increasing")
+    done = 0  # the points below the current part's end lie in the window
     for part in window.parts:
-        if bisect_left(xs, part.lo, key=key) > done:
+        if bisect_left(pts, part.lo) > done:
             break
-        done = bisect_left(xs, part.hi, key=key)
-    if done == len(xs):
-        return None
-    return xs[done] if key is None else key(xs[done])
+        done = bisect_left(pts, part.hi)
+    if done < len(pts):
+        raise ValueError(f"point {pts[done]} outside window {window}")
 
 
 class PointConfig:
@@ -261,12 +267,7 @@ class PointConfig:
 
     def __init__(self, points: Sequence[Fraction], window: Window) -> None:
         pts = tuple(points)
-        for a, b in zip(pts, pts[1:]):
-            if not a < b:
-                raise ValueError("points must be strictly increasing")
-        p = _first_outside(pts, window)
-        if p is not None:
-            raise ValueError(f"point {p} outside window {window}")
+        _check_points(pts, window)
         self._set(window=window, _points=pts, _layout=None, _ks=None,
                   _len=len(pts))
 
@@ -282,7 +283,7 @@ class PointConfig:
         c._set(window=window, _points=None, _layout=layout, _ks=tuple(ks),
                _len=sum(k.size for k in ks))
         if window is not layout.window and \
-                sum(j - i for i, j in _index_ranges(c, window)) != len(c):
+                _exact_counts(c, _one_column(window))[0] != len(c):
             raise ValueError(f"points outside window {window}")
         return c
 
@@ -336,9 +337,6 @@ class PointConfig:
         return f"PointConfig(points={self.points!r}, window={self.window!r})"
 
 
-_atom_point = itemgetter(0)
-
-
 @dataclass(frozen=True)
 class WeightedConfig:
     """Finite discrete measure: distinct sorted points with positive weights."""
@@ -349,18 +347,37 @@ class WeightedConfig:
     def __post_init__(self):
         atoms = tuple((p, w) for p, w in self.atoms)
         object.__setattr__(self, "atoms", atoms)
-        for (a, _), (b, _) in zip(atoms, atoms[1:]):
-            if not a < b:
-                raise ValueError("atom points must be strictly increasing")
+        _check_points([p for p, _ in atoms], self.window)
         for p, w in atoms:
             if w <= 0:
                 raise ValueError("weights must be positive")
-        p = _first_outside(atoms, self.window, key=_atom_point)
-        if p is not None:
-            raise ValueError(f"atom {p} outside window {self.window}")
 
     def __len__(self) -> int:
         return len(self.atoms)
+
+
+@dataclass(frozen=True)
+class MarkedConfig:
+    """Points with integer marks from a finite alphabet 0..mark_count-1."""
+
+    atoms: tuple[tuple[Fraction, int], ...]
+    window: Window
+    mark_count: int
+
+    def __post_init__(self):
+        if self.mark_count < 1:
+            raise ValueError("mark alphabet must be nonempty")
+        _check_points(self.points, self.window)
+        for p, m in self.atoms:
+            if not 0 <= m < self.mark_count:
+                raise ValueError(f"mark {m} outside alphabet")
+
+    @property
+    def points(self) -> tuple[Fraction, ...]:
+        return tuple(p for p, _ in self.atoms)
+
+    def ground(self) -> PointConfig:
+        return PointConfig(self.points, self.window)
 
 
 Config = Union[PointConfig, WeightedConfig]
@@ -390,7 +407,8 @@ def sample_poisson(intensity: IntensitySpec, window: Window, rng: Rng) -> PointC
     layout = _layout(alpha.numerator, alpha.denominator, window)
     counts = [rng.poisson_count(lam) for lam in layout.means]
     ks = [_sample_part_positions(rng, n) for n in counts]
-    return PointConfig._on_lattice(layout, ks, window)
+    # the layout's own window, equal to window, needs no coverage check
+    return PointConfig._on_lattice(layout, ks, layout.window)
 
 
 def count_replicates(
@@ -468,37 +486,78 @@ def superpose(c1: Config, c2: Config) -> Config:
     return WeightedConfig(tuple(sorted(acc.items())), c1.window)
 
 
+class Columns:
+    """Count columns ``(j, A)`` for :func:`counts`, with their windows' part
+    edges ``[a_1, b_1, a_2, ...]`` listed once.  Frames cache their edge
+    thresholds by Columns object, so pass the same one for every replicate."""
+
+    __slots__ = ("selectors", "windows", "edges", "parts", "_bounds")
+
+    def __init__(self, columns: Sequence[tuple[int | None, Window]]) -> None:
+        columns = list(columns)
+        where: dict = {}  # j -> the indices of its columns
+        for i, (j, _) in enumerate(columns):
+            where.setdefault(j, []).append(i)
+        # j -> where its counts go, and the Columns that counts them
+        self.selectors = {j: (slice(None), self) for j in where} \
+            if len(where) == 1 else \
+            {j: (np.array(idx), Columns([columns[i] for i in idx]))
+             for j, idx in where.items()}
+        self.windows = tuple(A for _, A in columns)
+        self.edges = [x for A in self.windows for p in A.parts
+                      for x in (p.lo, p.hi)]
+        nparts = [len(A.parts) for A in self.windows]
+        bounds = [0, *accumulate(nparts)]
+        self.parts = list(zip(bounds, bounds[1:]))  # each window's parts
+        self._bounds = None if set(nparts) <= {1} else \
+            (np.array(bounds[:-1]), np.array(bounds[1:]))
+
+    def __len__(self) -> int:
+        return len(self.windows)
+
+    def totals(self, per_part: np.ndarray) -> np.ndarray:
+        """Per window, the sum over its parts of the integers per_part."""
+        if self._bounds is None:  # one part per window
+            return per_part
+        run = np.concatenate(([0], np.cumsum(per_part)))
+        return run[self._bounds[1]] - run[self._bounds[0]]
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
-def _covers(window: Window, A: Window) -> bool:
-    return A.difference(window).is_empty
+def _one_column(A: Window) -> Columns:
+    return Columns([(None, A)])
 
 
-def _index_ranges(c, A: Window):
-    """Index ranges [i, j) of the points (or atoms) of c that lie in A, one
-    per part of A that meets them, in point order."""
+@lru_cache(maxsize=_CACHE_SIZE)
+def _uncovered(window: Window, columns: Columns) -> Window | None:
+    """The first window of columns that window does not cover, or None."""
+    return next((A for A in columns.windows if not A.difference(window).is_empty),
+                None)
+
+
+def _ranks(c, columns: Columns, mark: int | None = None) -> np.ndarray:
+    """For each edge of columns, the number of points of c (with the given
+    mark, if any) below it.  On a lattice, one ``searchsorted`` per frame,
+    summed: a frame wholly below an edge gives all its points, one above it
+    none.  Other configurations bisect their points."""
     if isinstance(c, PointConfig) and c._ks is not None:
-        start = 0
-        for frame, ks in zip(c._layout.frames, c._ks):
-            if ks.size:
-                cuts = frame.cuts(A)
-                if cuts is not None:
-                    idx = ks.searchsorted(cuts).tolist()
-                    for i, j in zip(idx[::2], idx[1::2]):
-                        yield start + i, start + j
-            start += ks.size
-        return
-    if isinstance(c, WeightedConfig):
-        xs, key = c.atoms, _atom_point
+        ranks = [ks.searchsorted(frame.cuts(columns))
+                 for frame, ks in zip(c._layout.frames, c._ks) if ks.size]
+        if not ranks:
+            return np.zeros(len(columns.edges), dtype=np.int64)
+        return sum(ranks[1:], ranks[0])
+    if isinstance(c, PointConfig):
+        xs = c.points
     else:
-        xs, key = c.points, None
-    for part in A.parts:
-        yield bisect_left(xs, part.lo, key=key), bisect_left(xs, part.hi, key=key)
+        xs = [p for p, m in c.atoms if mark is None or m == mark]
+    return np.array([bisect_left(xs, x) for x in columns.edges], dtype=np.int64)
 
 
 def _window_mask(c: PointConfig, A: Window) -> np.ndarray:
     """Boolean per point of c: does it lie in A?"""
     mask = np.zeros(len(c), dtype=bool)
-    for i, j in _index_ranges(c, A):
+    rank = _ranks(c, _one_column(A)).tolist()
+    for i, j in zip(rank[::2], rank[1::2]):
         mask[i:j] = True
     return mask
 
@@ -524,20 +583,58 @@ def _gaps_above(c: PointConfig, kappa: Fraction) -> np.ndarray:
     return np.concatenate(out) if out else np.zeros(0, dtype=bool)
 
 
-def count(c: Config, A: Window):
-    """N(A): total weight inside A for a weighted configuration, else the
-    point count (marks do not weigh).
+def _select(sample, j):
+    """The configuration and mark that column selector j names in sample."""
+    if isinstance(sample, (list, tuple)):
+        if j is not None and 0 <= j < len(sample):
+            return sample[j], None
+    elif j is None or (isinstance(sample, MarkedConfig)
+                       and 0 <= j < sample.mark_count):
+        return sample, j
+    raise ValueError(f"column selector {j!r} names no component or mark "
+                     f"of the {type(sample).__name__} sample")
 
-    A must be covered by the configuration's window -- counting over
-    unobserved territory is an error, not a zero.  Points on a lattice are
-    counted by their index thresholds, any others by bisection.
-    """
-    if not _covers(c.window, A):
+
+def _exact_counts(c, columns: Columns, mark: int | None = None) -> np.ndarray:
+    """N(A) for each window A of columns: point counts as int64, or a list
+    of exact Fraction weights for a weighted configuration."""
+    A = _uncovered(c.window, columns)
+    if A is not None:
         raise ValueError(f"window {A} exceeds observed window {c.window}")
+    rank = _ranks(c, columns, mark)
     if isinstance(c, WeightedConfig):
-        return sum((w for i, j in _index_ranges(c, A) for _, w in c.atoms[i:j]),
-                   Fraction(0))
-    return sum(j - i for i, j in _index_ranges(c, A))
+        r = rank.tolist()
+        atoms = [c.atoms[i:j] for i, j in zip(r[::2], r[1::2])]  # per part
+        return [sum((w for part in atoms[a:b] for _, w in part), Fraction(0))
+                for a, b in columns.parts]
+    return columns.totals(rank[1::2] - rank[::2])
+
+
+def counts(sample, columns: Columns | Sequence[tuple[int | None, Window]]
+           ) -> np.ndarray:
+    """N(A) of one realization for every column ``(j, A)``, as float64.
+
+    j is None for the whole realization (its points, or the total weight of
+    a weighted configuration), a component index of a sequence of
+    configurations (a split), or a mark of a :class:`MarkedConfig`.  Each
+    value is exact until its one rounding to float.  A must be covered by
+    the configuration's window: unobserved territory is an error, not 0.
+    """
+    if not isinstance(columns, Columns):
+        columns = Columns(columns)
+    out = np.empty(len(columns))
+    for j, (where, cols) in columns.selectors.items():
+        c, mark = _select(sample, j)
+        out[where] = _exact_counts(c, cols, mark)
+    return out
+
+
+def count(c: Config, A: Window):
+    """N(A): the one-column case of :func:`counts`, kept exact -- the point
+    count (marks do not weigh), or the total weight, a Fraction, of a
+    weighted configuration."""
+    n = _exact_counts(c, _one_column(A))[0]
+    return Fraction(n) if isinstance(c, WeightedConfig) else int(n)
 
 
 def free_check(c: PointConfig, T: TransformHandle, K: int,

@@ -17,7 +17,6 @@ kappa apart exactly when their index gap is at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -26,10 +25,9 @@ import numpy as np
 
 from .point_process import (
     _CACHE_SIZE,
+    MarkedConfig,
     PointConfig,
     Rng,
-    _atom_point,
-    _first_outside,
     _gaps_above,
     _window_mask,
 )
@@ -42,35 +40,6 @@ __all__ = [
     "bernoulli_split",
     "separation_thin",
 ]
-
-
-@dataclass(frozen=True)
-class MarkedConfig:
-    """Points with integer marks from a finite alphabet 0..mark_count-1."""
-
-    atoms: tuple[tuple[Fraction, int], ...]
-    window: Window
-    mark_count: int
-
-    def __post_init__(self):
-        if self.mark_count < 1:
-            raise ValueError("mark alphabet must be nonempty")
-        for (a, _), (b, _) in zip(self.atoms, self.atoms[1:]):
-            if not a < b:
-                raise ValueError("points must be strictly increasing")
-        for p, m in self.atoms:
-            if not 0 <= m < self.mark_count:
-                raise ValueError(f"mark {m} outside alphabet")
-        p = _first_outside(self.atoms, self.window, key=_atom_point)
-        if p is not None:
-            raise ValueError(f"point {p} outside window")
-
-    @property
-    def points(self) -> tuple[Fraction, ...]:
-        return tuple(p for p, _ in self.atoms)
-
-    def ground(self) -> PointConfig:
-        return PointConfig(self.points, self.window)
 
 
 def _validate_probs(probs: Sequence[float]) -> np.ndarray:

@@ -4,21 +4,23 @@ Every check returns a TestReport whose decision is exactly
 ``p_value < level``; counterexample batteries that expect a rejection
 invert the reading at the orchestration layer, never here.  All inputs
 are finite count/realization data produced from explicit Rng streams, so
-identical seeds give identical reports.
+identical seeds give identical reports.  The checks that sample read one
+replicate x column count matrix (:func:`~sushilab.moments.count_matrix`)
+and take their products with numpy, left to right.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import stats as sps
 
 from .dynamics import DEFAULT_MAX_STAGE, TransformHandle
-from .moments import replicate_matrix
-from .point_process import Rng, count
+from .moments import _products, count_matrix
+from .point_process import Rng
 from .windows import IntensitySpec, Window
 
 __all__ = [
@@ -90,11 +92,7 @@ def covariance_check(sampler, A: Window, B: Window, intensity: IntensitySpec,
                      R: int, rng: Rng, level: float = 0.01) -> TestReport:
     """Empirical Cov(N(A), N(B)) against the exact overlap mass."""
     target = float(intensity.alpha * A.intersect(B).length)
-
-    def evaluate(config) -> list[float]:
-        return [float(count(config, A)), float(count(config, B))]
-
-    mat = replicate_matrix(sampler, evaluate, 2, R, rng)
+    mat = count_matrix(sampler, [(None, A), (None, B)], R, rng)
     a, b = mat[:, 0], mat[:, 1]
     cov = float(np.cov(a, b)[0, 1])
     # stderr of the sample covariance via the plug-in fourth-moment formula
@@ -201,29 +199,19 @@ def mixed_moment_factorization(joint_sampler, groupings: Sequence[Sequence[Windo
                                name: str = "mixed_moment_factorization") -> TestReport:
     """Joint mixed moment against the product of per-component moments.
 
-    joint_sampler maps an Rng to a tuple of component configurations;
-    grouping j supplies the windows multiplied within component j.  The
-    difference joint - product is standardized by the delta method using
-    the full empirical covariance of the per-replicate vector, so shared
-    replicates are priced in.
+    joint_sampler maps an Rng to a tuple of component configurations, or
+    to a marked configuration; grouping j supplies the windows multiplied
+    within component (or mark) j.  The difference joint - product is
+    standardized by the delta method using the full empirical covariance of
+    the per-replicate vector, so shared replicates are priced in.
     """
     k = len(groupings)
     if k == 0 or any(len(g) == 0 for g in groupings):
         raise ValueError("groupings must be nonempty")
-
-    def evaluate(components) -> list[float]:
-        parts = []
-        for comp, windows in zip(components, groupings):
-            prod = 1.0
-            for w in windows:
-                prod *= float(count(comp, w))
-            parts.append(prod)
-        joint = 1.0
-        for p in parts:
-            joint *= p
-        return [joint] + parts
-
-    mat = replicate_matrix(joint_sampler, evaluate, k + 1, R, rng)
+    cols = [(j, w) for j, g in enumerate(groupings) for w in g]
+    parts = _products(count_matrix(joint_sampler, cols, R, rng),
+                      [len(g) for g in groupings])
+    mat = np.column_stack([_products(parts, [k]), parts])
     means = mat.mean(axis=0)
     joint = float(means[0])
     marg = means[1:]
@@ -268,30 +256,20 @@ def cesaro_factorization(sampler, T: TransformHandle,
     Kset = set(K)
     if not Kset <= set(range(n)):
         raise ValueError("K must be a set of window indices")
+    if L < 1:
+        raise ValueError("L must be at least 1")
     comp = [i for i in range(n) if i not in Kset]
-    shifted: list[list[Window]] = [
-        [T.image_window(windows[i], -k, max_stage=max_stage) for i in comp]
-        for k in range(1, L + 1)
-    ]
-
-    def evaluate(config) -> list[float]:
-        base = 1.0
-        for i in Kset:
-            base *= float(count(config, windows[i]))
-        rest = 1.0
-        for i in comp:
-            rest *= float(count(config, windows[i]))
-        row = [base * rest]          # unshifted product, for the target
-        row.append(base)
-        row.append(rest)
-        for k in range(L):
-            term = base
-            for w in shifted[k]:
-                term *= float(count(config, w))
-            row.append(term)
-        return row
-
-    mat = replicate_matrix(sampler, evaluate, L + 3, R, rng)
+    cols = [(None, windows[i]) for i in [*Kset, *comp]] + [
+        (None, T.image_window(windows[i], -k, max_stage=max_stage))
+        for k in range(1, L + 1) for i in comp]
+    counted = count_matrix(sampler, cols, R, rng)
+    base, rest = _products(counted, [len(Kset), len(comp)]).T
+    m = len(comp)  # term k: base times the counts of comp shifted by k
+    lagged = _products(np.column_stack(
+        [col for k in range(L)
+         for col in (base, counted[:, n + k * m:n + (k + 1) * m])]), [m + 1] * L)
+    # per row: unshifted product (for the target), base, rest, then the terms
+    mat = np.column_stack([base * rest, base, rest, lagged])
     means = mat.mean(axis=0)
     m_base, m_rest = float(means[1]), float(means[2])
     product = m_base * m_rest

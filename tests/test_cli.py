@@ -107,6 +107,24 @@ class TestRunCommand:
         assert main(["run", str(path)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("construction,params,battery,line", [
+        ("poisson", {}, [{"test": "intensity"},
+                         {"test": "diagonal_weight", "depth": 13}],
+         "error: battery[1].depth: must be an integer in 0..12"),
+        ("split", {"probs": ["1/2", "1/2"]},
+         [{"test": "cross_correlation", "pair": "ab"}], "error: battery[0].pair"),
+        ("split", {"probs": ["1/2", "1/2"]}, [{"test": "covariance", "A": "[0,1)",
+                                              "B": "[0,2)"}],
+         "error: battery[0].test: covariance needs the"),
+    ])
+    def test_item_refused_at_load_exits_two(self, tmp_path, capsys, construction,
+                                            params, battery, line):
+        path = spec_file(tmp_path, construction=construction, params=params,
+                         battery=battery)
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(line) and not captured.out
+
     def test_unknown_spec_errors(self, capsys):
         assert main(["run", "no-such-spec.json"]) == 2
         assert "error:" in capsys.readouterr().err

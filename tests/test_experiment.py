@@ -169,6 +169,65 @@ class TestSpecParsing:
                 + re.escape(f"construction, not {construction}")):
             run(ExperimentSpec.from_dict(d))
 
+    @pytest.mark.parametrize("construction,params,item,message", [
+        ("poisson", {}, {"test": "intensity", "mark": 0},
+         "battery[0].mark: only the mark construction has marks"),
+        ("split", {"probs": ["1/2", "1/2"]},
+         {"test": "intensity", "component": 0, "mark": 0},
+         "battery[0].mark: only the mark construction"),
+        ("mark", {"mark_probs": ["1/2", "1/2"]}, {"test": "poisson_gof", "mark": 2},
+         "battery[0].mark: must be an integer in [0, 2)"),
+        ("mark", {"mark_probs": ["1/2", "1/2"]}, {"test": "intensity", "mark": "0"},
+         "battery[0].mark: must be an integer in [0, 2)"),
+        ("split", {"probs": ["1/2", "1/2"]},
+         {"test": "cross_correlation", "pair": [0, 5]}, "battery[0].pair"),
+        ("split", {"probs": ["1/2", "1/2"]},
+         {"test": "cross_correlation", "pair": "ab"}, "battery[0].pair"),
+        ("mark", {"mark_probs": ["1/2", "1/2"]},
+         {"test": "cross_correlation", "pair": [0, 1, 1]}, "battery[0].pair"),
+        ("split", {"probs": ["1/2", "1/2"]}, {"test": "dissociation", "pair": [2, 0]},
+         "battery[0].pair: must be two integers in [0, 2)"),
+        ("split", {"probs": ["1/2", "1/2"]},
+         {"test": "mixed_moment", "groupings": [["[0,1)"]] * 3},
+         "battery[0].groupings: must be 1 to 2 nonempty groups"),
+        ("mark", {"mark_probs": ["1/2", "1/2"]},
+         {"test": "mixed_moment", "groupings": [["[0,1)"], []]}, "battery[0].groupings"),
+        ("split", {"probs": ["1/2", "1/2"]}, {"test": "dissociation", "K": -1},
+         "battery[0].K: must be an integer in 0..inf"),
+        ("poisson", {}, {"test": "free", "K": 0}, "battery[0].K: must be an integer in 1.."),
+        ("poisson", {}, {"test": "free", "K": 2.0}, "battery[0].K"),
+        ("poisson", {}, {"test": "cesaro", "windows": ["[2,3)"], "L": 0},
+         "battery[0].L: must be an integer in 1.."),
+        ("poisson", {}, {"test": "cesaro", "windows": ["[2,3)"], "K": [1]},
+         "battery[0].K: must be a list of integers in [0, 1)"),
+        ("poisson", {}, {"test": "cesaro", "windows": ["[2,3)"], "K": 0},
+         "battery[0].K"),
+        ("poisson", {}, {"test": "diagonal_weight", "n": 5},
+         "battery[0].n: must be an integer in 1..4"),
+        ("poisson", {}, {"test": "diagonal_weight", "depth": 13},
+         "battery[0].depth: must be an integer in 0..12"),
+        ("poisson", {}, {"test": "diagonal_weight", "depth": "8"}, "battery[0].depth"),
+        ("poisson", {}, {"test": "moment_fit", "n": 4},
+         "battery[0].n: must be an integer in 2..3"),
+    ])
+    def test_item_parameters_checked_at_load(self, construction, params, item,
+                                             message):
+        d = minimal_spec(construction=construction, params=params, battery=[item])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec.from_dict(d)
+
+    def test_numeric_parameter_checked_before_sampling(self, monkeypatch):
+        from sushilab import experiment
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the spec was validated")
+
+        monkeypatch.setattr(experiment, "sample_poisson", no_sampling)
+        d = minimal_spec(battery=[{"test": "intensity"},
+                                  {"test": "diagonal_weight", "depth": 13}])
+        with pytest.raises(ValueError, match=re.escape("battery[1].depth")):
+            run(ExperimentSpec.from_dict(d))
+
     def test_two_sample_other_checked_at_load(self):
         d = minimal_spec(construction="sushi",
                          params={"c": "1/2", "law": [{"prob": "1", "weights": {"0": "1"}}]},
@@ -386,3 +445,51 @@ class TestPresets:
 
     def test_at_least_five_batteries(self):
         assert len(BATTERY_PRESETS) >= 5
+
+
+_CONSTRUCTION_PARAMS = {
+    "poisson": {},
+    "split": {"probs": ["1/2", "1/2"]},
+    "thin": {"kappa": "1/2"},
+    "mark": {"mark_probs": ["1/2", "1/2"]},
+    "sushi": {"c": "1/2", "law": [{"prob": "1", "weights": {"0": "1", "1": "1"}}]},
+    "id": {"c": "1/2", "law": [{"prob": "1/2", "weights": {"0": "2"}},
+                               {"prob": "1/2", "weights": {"0": "1", "1": "1"}}]},
+}
+
+_TEST_ITEMS = {
+    "poisson_gof": {"replicates": 1000},
+    "intensity": {},
+    "dispersion": {},
+    "covariance": {"A": "[0,1)", "B": "[1/2,2)"},
+    "mixed_moment": {"groupings": [["[0,1)"], ["[0,2)", "[1,2)"]]},
+    "cross_correlation": {},
+    "dissociation": {"K": 2},
+    "free": {"K": 2},
+    "moment_fit": {},
+    "diagonal_weight": {"depth": 4, "window": "[0,2)"},
+    "round_trip": {"K_max": 2},
+    "two_sample_vs": {},
+    "variance": {},
+    "cesaro": {"windows": ["[2,3)", "[2,3)"], "L": 2},
+}
+
+
+@pytest.mark.parametrize("construction", sorted(_CONSTRUCTION_PARAMS))
+@pytest.mark.parametrize("test", sorted(_TEST_ITEMS))
+def test_every_test_runs_or_is_refused_at_load(test, construction):
+    # a (test, construction) pair either fails at load, naming the item, or
+    # runs to a manifest: none ends in an error partway through a run
+    item = {"test": test, **_TEST_ITEMS[test]}
+    if construction == "split" and test in ("poisson_gof", "intensity",
+                                            "dispersion", "variance"):
+        item["component"] = 0
+    d = minimal_spec(construction=construction, window="[-1,5)", replicates=100,
+                     params=_CONSTRUCTION_PARAMS[construction], battery=[item])
+    try:
+        spec = ExperimentSpec.from_dict(d)
+    except ValueError as exc:
+        assert str(exc).startswith("battery[0].test: ")
+        return
+    manifest = run(spec)
+    assert len(manifest.item_outcomes) == 1

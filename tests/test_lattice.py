@@ -12,8 +12,19 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sushilab.point_process import PointConfig, Rng, count, sample_poisson
-from sushilab.split_mark import bernoulli_split, separation_thin
+import pytest
+
+from sushilab.point_process import (
+    Columns,
+    MarkedConfig,
+    PointConfig,
+    Rng,
+    WeightedConfig,
+    count,
+    counts,
+    sample_poisson,
+)
+from sushilab.split_mark import attach_marks, bernoulli_split, separation_thin
 from sushilab.windows import Interval, IntensitySpec, Window
 
 quarters = st.integers(-20, 40).map(lambda n: F(n, 4))
@@ -69,6 +80,59 @@ def test_count_agrees_with_fraction_points(data):
     expect = sum(1 for p in c.points if p in A)
     assert count(c, A) == count(reference(c), A) == expect
     assert count(c, c.window) == len(c)
+
+
+def sub_windows(draw, c, n):
+    """n windows inside c's window, with edges on and next to its points."""
+    out = []
+    for _ in range(n):
+        ends = sorted(set(edges(draw, c)))
+        parts = [Interval(a, b) for a, b in zip(ends[::2], ends[1::2])]
+        out.append(Window(parts).intersect(c.window))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_counts_agree_with_point_by_point_counts(data):
+    c = data.draw(lattice_configs())
+    ws = sub_windows(data.draw, c, data.draw(st.integers(1, 5)))
+    cols = Columns([(None, A) for A in ws])
+    expect = [float(sum(1 for p in c.points if p in A)) for A in ws]
+    assert counts(c, cols).tolist() == expect
+    assert counts(reference(c), cols).tolist() == expect
+    assert [count(c, A) for A in ws] == expect
+    # a split is counted per component, a marked sample per mark
+    seed = data.draw(st.integers(0, 2**32))
+    comps = bernoulli_split(c, [F(1, 3), F(2, 3)], Rng(seed, 2))
+    mc = attach_marks(c, [F(1, 3), F(2, 3)], Rng(seed, 2))
+    by_j = [(j, A) for A in ws for j in (1, 0)]
+    row = [float(sum(1 for p in comps[j].points if p in A)) for j, A in by_j]
+    assert counts(comps, by_j).tolist() == row
+    assert counts(mc, by_j).tolist() == row
+    assert counts(mc, [(None, A) for A in ws]).tolist() == expect
+
+
+def test_counts_of_weights_are_exact_sums():
+    w = Window.span(0, 3)
+    v = WeightedConfig(((F(0), F(1, 3)), (F(1), F(1, 3)), (F(2), F(1, 3))), w)
+    A, B = Window.span(0, 2), Window([Interval(F(0), F(1, 2)), Interval(F(2), F(3))])
+    assert count(v, A) == F(2, 3) and count(v, B) == F(2, 3)
+    assert count(v, Window()) == 0 and isinstance(count(v, Window()), F)
+    assert counts(v, [(None, A), (None, B), (None, w)]).tolist() == \
+        [float(F(2, 3)), float(F(2, 3)), 1.0]
+
+
+def test_counts_refuse_what_the_sample_lacks():
+    w = Window.span(0, 4)
+    c = sample_poisson(IntensitySpec(2), w, Rng(1, 1))
+    mc = MarkedConfig(((F(1), 0), (F(2), 1)), w, 2)
+    comps = bernoulli_split(c, [0.5, 0.5], Rng(1, 2))
+    with pytest.raises(ValueError, match="exceeds observed window"):
+        counts(c, [(None, Window.span(3, 5))])
+    for sample, j in ((c, 0), (mc, 2), (comps, None), (comps, 2)):
+        with pytest.raises(ValueError, match="names no component or mark"):
+            counts(sample, [(j, w)])
 
 
 @settings(max_examples=80, deadline=None)

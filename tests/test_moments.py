@@ -16,7 +16,9 @@ from sushilab.moments import (
     partitions,
     replicate_matrix,
 )
-from sushilab.point_process import PointConfig, Rng, sample_poisson
+from sushilab.cluster import ClusterEntry, ClusterLaw, SushiSpec, sample_sushi
+from sushilab.dynamics import Translation
+from sushilab.point_process import PointConfig, Rng, WeightedConfig, sample_poisson
 from sushilab.windows import EMPTY, IntensitySpec, Window, parse_window
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -214,3 +216,47 @@ class TestDiagonalWeight:
         A = parse_window("[0,1)")
         with pytest.raises(ValueError):
             diagonal_weight(poisson_sampler(1, A), A, 2, 13, 200, Rng(1, 1))
+
+    def test_matches_point_by_point_refinement(self):
+        # the per-point reference: each point's cell index from its offset
+        # into A, exact Fraction masses per cell, coarsened pairwise
+        def reference(sampler, A, n, depth, R, rng):
+            parts, base = [], F(0)
+            for p in A.parts:
+                parts.append((p, base))
+                base += p.length
+            ncells = 1 << depth
+
+            def evaluate(config):
+                items = config.atoms if isinstance(config, WeightedConfig) \
+                    else [(p, F(1)) for p in config.points]
+                level = {}
+                for x, w in items:
+                    for p, b in parts:
+                        if x in p:
+                            k = int((b + x - p.lo) * ncells / A.length)
+                            level[k] = level.get(k, F(0)) + w
+                row = []
+                for d in range(depth, -1, -1):
+                    row.append(sum(float(m) ** n for m in level.values()))
+                    coarser = {}
+                    for k, m in level.items():
+                        coarser[k >> 1] = coarser.get(k >> 1, F(0)) + m
+                    level = coarser
+                return row[::-1]
+
+            mat = replicate_matrix(sampler, evaluate, depth + 1, R, rng)
+            return tuple(mat.mean(axis=0)), tuple(mat.std(axis=0, ddof=1))
+
+        W = parse_window("[0,2)+[5/2,4)")
+        A = parse_window("[1/3,2)+[5/2,7/2)")
+        law = ClusterLaw([ClusterEntry({0: F(1, 3), 1: F(2, 7)}, 1)])
+        samplers = [poisson_sampler(3, W),
+                    lambda rng: sample_sushi(SushiSpec(2, law, Translation(F(1, 5))),
+                                             W, rng)]
+        for sampler in samplers:
+            for n, depth in ((2, 4), (3, 6)):
+                res = diagonal_weight(sampler, A, n, depth, 100, Rng(9, depth))
+                means, sds = reference(sampler, A, n, depth, 100, Rng(9, depth))
+                assert res.estimates == means
+                assert res.stderrs == tuple(s / np.sqrt(100) for s in sds)
