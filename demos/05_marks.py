@@ -28,8 +28,8 @@ rho = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
 sampler = lambda rng: attach_marks(sample_poisson(alpha, W, rng), rho, rng)
 
 mc = sampler(Rng(5, 0))
-print("marked realization, first atoms:")
-for p, mk in mc.atoms[:5]:
+print("marked realization, first points:")
+for p, mk in list(zip(mc.points, mc.marks.tolist()))[:5]:
     print(f"  {p} -> mark {mk}")
 
 slice1 = project_mark_set(mc, {1})

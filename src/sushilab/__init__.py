@@ -56,7 +56,6 @@ from .point_process import (
     superpose,
 )
 from .split_mark import (
-    MarkedConfig,
     attach_marks,
     bernoulli_split,
     project_mark_set,

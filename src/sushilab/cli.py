@@ -123,9 +123,7 @@ def _finish(summary: dict, spec, plan, out) -> int:
     ``run --out`` writes it under raw/."""
     _emit(summary)
     if out:
-        path = Path(out)
-        path.mkdir(parents=True, exist_ok=True)
-        _dump_realization(plan, spec, path)
+        _dump_realization(plan, spec, Path(out))
     return 0
 
 

@@ -23,7 +23,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .dynamics import DEFAULT_MAX_STAGE, OrbitError, TransformHandle
 from .point_process import PointConfig, Rng, WeightedConfig, sample_poisson
@@ -162,13 +165,10 @@ def cluster_buffer(spec: SushiSpec, core: Window,
 
 def _hang_clusters(ground: Sequence[Fraction], entries: Sequence[ClusterEntry],
                    T: TransformHandle, core: Window, max_stage: int):
-    acc: dict[Fraction, Fraction] = {}
-    for x, entry in zip(ground, entries):
-        for k, a in entry.weights:
-            pos = T.apply(x, k, max_stage=max_stage)
-            if pos in core:
-                acc[pos] = acc.get(pos, Fraction(0)) + a
-    return WeightedConfig(tuple(sorted(acc.items())), core)
+    """The atoms (T^k x, a_k) in core of each ground point x's cluster."""
+    atoms = ((T.apply(x, k, max_stage=max_stage), a)
+             for x, entry in zip(ground, entries) for k, a in entry.weights)
+    return [(p, a) for p, a in atoms if p in core]
 
 
 def sample_sushi(spec: SushiSpec, core: Window, rng: Rng,
@@ -184,17 +184,15 @@ def sample_sushi(spec: SushiSpec, core: Window, rng: Rng,
     if buffer is None:
         buffer = cluster_buffer(spec, core, max_stage=max_stage)
     ground = sample_poisson(IntensitySpec(spec.c), buffer, rng)
-    cum: list[Fraction] = []
-    run = Fraction(0)
-    for e in spec.law.catalog:
-        run += e.prob
-        cum.append(run)
-    entries = []
-    for _ in ground.points:
-        u = rng.random()
-        idx = next(i for i, q in enumerate(cum) if u < q or i == len(cum) - 1)
-        entries.append(spec.law.catalog[idx])
-    return _hang_clusters(ground.points, entries, spec.T, core, max_stage)
+    catalog = spec.law.catalog
+    # entry i is the first whose cumulative probability q_i exceeds u; for a
+    # float u that holds exactly when u < t_i, the least float >= q_i
+    ts = [float(q) if Fraction(float(q)) >= q else np.nextafter(float(q), np.inf)
+          for q in accumulate(e.prob for e in catalog[:-1])]
+    idx = np.searchsorted(ts, rng.random_block(len(ground)), side="right")
+    return WeightedConfig.of_sum(_hang_clusters(
+        ground.points, [catalog[i] for i in idx.tolist()], spec.T, core,
+        max_stage), core)
 
 
 def sample_id_measure(spec: SushiSpec, core: Window, rng: Rng,
@@ -210,18 +208,16 @@ def sample_id_measure(spec: SushiSpec, core: Window, rng: Rng,
     ``cluster_buffer(spec, core, entry)``, in catalog order; entries of
     probability 0 draw nothing, and their slot is not read.
     """
-    acc: dict[Fraction, Fraction] = {}
+    atoms: list[tuple[Fraction, Fraction]] = []
     for i, entry in enumerate(spec.law.catalog):
         if entry.prob == 0:
             continue
         buffer = (cluster_buffer(spec, core, entry, max_stage)
                   if buffers is None else buffers[i])
         ground = sample_poisson(IntensitySpec(spec.c * entry.prob), buffer, rng)
-        part = _hang_clusters(ground.points, [entry] * len(ground.points),
-                              spec.T, core, max_stage)
-        for p, w in part.atoms:
-            acc[p] = acc.get(p, Fraction(0)) + w
-    return WeightedConfig(tuple(sorted(acc.items())), core)
+        atoms += _hang_clusters(ground.points, [entry] * len(ground.points),
+                                spec.T, core, max_stage)
+    return WeightedConfig.of_sum(atoms, core)
 
 
 def truncate_weights(v: WeightedConfig, eps: RatLike) -> WeightedConfig:

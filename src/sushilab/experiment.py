@@ -64,7 +64,7 @@ from .point_process import (
     free_check,
     sample_poisson,
 )
-from .split_mark import attach_marks, bernoulli_split, separation_thin
+from .split_mark import attach_marks, project_mark_set, separation_thin
 from .stats import (
     TestReport,
     cesaro_factorization,
@@ -81,7 +81,6 @@ from .windows import (
     IntensitySpec,
     Window,
     as_rat,
-    format_rat,
     parse_window,
 )
 
@@ -204,6 +203,7 @@ class ExperimentSpec:
                 raise ValueError(f"battery[{i}]: expect must be pass or reject")
             _, needs, checks = _TESTS[item["test"]]
             for key, (required, check) in {"window": (False, parse_window),
+                                           "replicates": (False, _int_in(100)),
                                            **checks}.items():
                 if key not in item:
                     if required:
@@ -237,6 +237,9 @@ class ExperimentSpec:
         plan = _build_plan(spec)  # validate construction preconditions before sampling
         for i, item in enumerate(spec.battery):
             _check_selectors(plan, item, f"battery[{i}]")
+            if item["test"] == "poisson_gof" and _item_R(spec, item) < 1000:
+                raise ValueError(f"battery[{i}].replicates: poisson_gof needs "
+                                 f"at least 1000, not {_item_R(spec, item)}")
         return spec
 
     @staticmethod
@@ -264,6 +267,7 @@ class _Plan:
     observed: Window
     sample: Callable[[Rng], object]
     probs: tuple[Fraction, ...] | None = None
+    selector: str | None = None  # the item key that names a mark
     kappa: Fraction | None = None
     sushi: SushiSpec | None = None
 
@@ -285,18 +289,19 @@ def _build_plan(spec: ExperimentSpec) -> _Plan:
         return _Plan(kind, T, alphaspec, W, W,
                      lambda rng: sample_poisson(alphaspec, W, rng))
     if kind in ("split", "mark"):
-        key = "probs" if kind == "split" else "mark_probs"
+        key, selector = ("probs", "component") if kind == "split" else \
+            ("mark_probs", "mark")
         raw_probs = params.get(key, params.get("probs"))
         if raw_probs is None:
             raise ValueError(f"params.{key}: required for {kind}")
         probs = tuple(as_rat(p) for p in raw_probs)
         if any(p < 0 for p in probs) or sum(probs) != 1:
             raise ValueError(f"params.{key}: must be nonnegative, summing to 1")
-        draw = bernoulli_split if kind == "split" else attach_marks
-
-        def sample(rng, probs=probs):
-            return draw(sample_poisson(alphaspec, W, rng), probs, rng)
-        return _Plan(kind, T, alphaspec, W, W, sample, probs=probs)
+        # a split is sampled as its marking, with bernoulli_split's draws
+        return _Plan(kind, T, alphaspec, W, W,
+                     lambda rng: attach_marks(sample_poisson(alphaspec, W, rng),
+                                              probs, rng),
+                     probs=probs, selector=selector)
     if kind == "thin":
         kappa = as_rat(params.get("kappa", 1))
         if kappa <= 0:
@@ -350,7 +355,7 @@ RawData = dict[str, np.ndarray]
 
 
 def _item_R(spec: ExperimentSpec, item: Mapping) -> int:
-    return int(item.get("replicates", spec.replicates))
+    return item.get("replicates", spec.replicates)
 
 
 def _item_window(plan: _Plan, item: Mapping) -> Window:
@@ -375,8 +380,18 @@ def _check_selectors(plan: _Plan, item: Mapping, at: str) -> None:
     """The components, marks, windows and samplers an item names exist: a
     counting test needs ``component`` on a split and allows ``mark`` on a
     mark construction; ``pair`` and ``groupings`` index components or
-    marks, cesaro ``K`` its windows."""
+    marks, cesaro ``K`` its windows; every window it counts in lies in the
+    observed window."""
     test, n = item["test"], len(plan.probs or ())
+    texts = [(key, item[key]) for key in ("window", "A", "B") if key in item]
+    if test == "mixed_moment":
+        texts += [("groupings", t) for g in item["groupings"] for t in g]
+    if test == "cesaro":
+        texts += [("windows", t) for t in item["windows"]]
+    for key, A in ((key, parse_window(t)) for key, t in texts):
+        if not plan.observed.covers(A):
+            raise ValueError(f"{at}.{key}: {A} exceeds observed window "
+                             f"{plan.observed}")
     indices = []  # (key, the indices it names, their bound)
     if test in ("poisson_gof", "intensity", "dispersion", "variance"):
         for key, kind in (("component", "split"), ("mark", "mark")):
@@ -392,9 +407,8 @@ def _check_selectors(plan: _Plan, item: Mapping, at: str) -> None:
         indices.append(("pair", item.get("pair", [0, 1]), n))
     groups = item.get("groupings")
     if test == "mixed_moment" and (not 0 < len(groups) <= n or not all(groups)):
-        what = "component" if plan.kind == "split" else "mark"
         raise ValueError(f"{at}.groupings: must be 1 to {n} nonempty "
-                         f"groups, at most one per {what}")
+                         f"groups, at most one per {plan.selector}")
     if test == "cesaro":
         indices.append(("K", item.get("K", [0]), len(item["windows"])))
     if test == "two_sample_vs" and item.get("other", "id") not in ("sushi", "id"):
@@ -408,16 +422,11 @@ def _check_selectors(plan: _Plan, item: Mapping, at: str) -> None:
                              f"{what.get(key, 'an integer')} in [0, {bound})")
 
 
-def _selector(plan: _Plan, item: Mapping):
-    """The item's split component or mark, or None for the whole sample."""
-    return item.get("component" if plan.kind == "split" else "mark")
-
-
 def _item_counts(plan, spec, item, rng) -> tuple[Window, int, np.ndarray]:
     """The item's window w, its R, and per replicate N(w) of its split
     component or mark (of the whole realization when it names none)."""
     w, R = _item_window(plan, item), _item_R(spec, item)
-    return w, R, count_matrix(plan.sample, [(_selector(plan, item), w)], R,
+    return w, R, count_matrix(plan.sample, [(item.get(plan.selector), w)], R,
                               rng)[:, 0]
 
 
@@ -430,7 +439,7 @@ def _integers(vec: np.ndarray, test: str) -> np.ndarray:
 
 def _expected(plan: _Plan, item: Mapping, w: Window) -> float:
     """Expected N(w) of the item's component or mark, or of the sample."""
-    j = _selector(plan, item)
+    j = item.get(plan.selector)
     if j is None:
         return plan.mean_mass(w)
     return float(plan.intensity.alpha * plan.probs[j] * w.length)
@@ -448,9 +457,8 @@ def _exact_check(plan, spec, item, rng, name: str, failed) -> TestReport:
 
 def _run_poisson_gof(plan, spec, item, rng):
     level = float(item.get("level", 0.01))
-    j = _selector(plan, item)
-    label = "" if j is None else \
-        f"[{'component' if plan.kind == 'split' else 'mark'} {j}]"
+    j = item.get(plan.selector)
+    label = "" if j is None else f"[{plan.selector} {j}]"
     if plan.kind == "poisson":
         w = _item_window(plan, item)
         counts = count_replicates(plan.intensity, [w], rng,
@@ -526,7 +534,8 @@ def _run_dissociation(plan, spec, item, rng):
     i, j = item.get("pair", (0, 1))
     rep = _exact_check(
         plan, spec, item, rng, f"dissociation[K={K}]",
-        lambda comps: not dissociation_check(comps[i], comps[j], plan.T, K))
+        lambda mc: not dissociation_check(project_mark_set(mc, {i}),
+                                          project_mark_set(mc, {j}), plan.T, K))
     return [rep], {}
 
 
@@ -633,8 +642,8 @@ _WINDOW = (True, parse_window)
 # ``window``.  A test suits only some constructions when it correlates
 # split or marked components, needs the orbit coding or second sampler of
 # a cluster measure, a closed-form variance, or simple points (``free``),
-# or counts the whole realization, which a split, a list of components,
-# lacks.  ExperimentSpec.from_dict applies all this before any sampling,
+# or counts the whole realization, which the split construction leaves to
+# its components.  ExperimentSpec.from_dict applies all this before any sampling,
 # and _check_selectors the checks that depend on the construction.
 _TESTS: dict[str, tuple[Callable, tuple[str, ...], dict]] = {
     "poisson_gof": (_run_poisson_gof, CONSTRUCTIONS, {}),
@@ -754,32 +763,23 @@ def run(spec: ExperimentSpec, threads: int = 1, out_dir=None,
     )
     if out_dir is not None:
         manifest.write(out_dir)
-        plan_dump_dir = Path(out_dir) / "raw"
-        plan_dump_dir.mkdir(parents=True, exist_ok=True)
-        _dump_realization(plan, spec, plan_dump_dir)
+        _dump_realization(plan, spec, Path(out_dir) / "raw")
     return manifest
 
 
 def _dump_realization(plan: _Plan, spec: ExperimentSpec, raw_dir: Path) -> None:
     """One seeded realization CSV per construction output, for inspection."""
-    rng = Rng(spec.seed, 0)
-    sample = plan.sample(rng)
+    raw_dir.mkdir(parents=True, exist_ok=True)
+    sample = plan.sample(Rng(spec.seed, 0))
     if plan.kind == "split":
-        for j, comp in enumerate(sample):
-            with (raw_dir / f"realization_component{j}.csv").open("w") as fh:
-                dump_csv(comp, fh, seed=spec.seed, stream_id=0,
-                         intensity=plan.intensity)
-    elif plan.kind == "mark":
-        with (raw_dir / "realization_marks.csv").open("w") as fh:
-            fh.write(f"# seed={spec.seed} stream_id=0 "
-                     f"window={sample.window}\n")
-            fh.write("point,mark\n")
-            for p, mk in sample.atoms:
-                fh.write(f"{format_rat(p)},{mk}\n")
+        files = {f"realization_component{j}.csv": project_mark_set(sample, {j})
+                 for j in range(sample.mark_count)}
     else:
-        with (raw_dir / "realization.csv").open("w") as fh:
-            dump_csv(sample, fh, seed=spec.seed, stream_id=0,
-                     intensity=plan.intensity)
+        files = {f"realization{'_marks' if plan.kind == 'mark' else ''}.csv": sample}
+    for name, c in files.items():
+        with (raw_dir / name).open("w") as fh:  # a mark file names no intensity
+            dump_csv(c, fh, seed=spec.seed, stream_id=0,
+                     intensity=None if plan.kind == "mark" else plan.intensity)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Point configurations, seeded randomness, and exact Poisson sampling.
 
-A realization is a finite set of exact rational points (optionally weighted)
-observed through a window.  Sampling follows a fixed draw-order contract so
+A realization is a finite set of exact rational points observed through a
+window, optionally weighted or marked (a split is marked by component).
+Sampling follows a fixed draw-order contract so
 that whole configurations are reproducible from ``(seed, stream_id)`` alone:
 
 1. one count per window part, by inversion of the Poisson CDF from a single
@@ -20,8 +21,10 @@ work on them.  A window edge b becomes the exact integer threshold
 ``Fraction`` points are built only when ``.points`` is read.
 
 :func:`counts` gives N(A) of one realization for every column ``(j, A)``,
-j naming the whole realization (None), a split component or a mark, with
-one ``searchsorted`` per frame; :func:`count` is its one-column case.
+j naming the whole realization (None) or a mark: one ``searchsorted`` per
+frame ranks every edge among the points, and a table of cumulative mark
+counts reads each mark's count at those ranks; :func:`count` is its
+one-column case.
 
 The count-only replication layer (:func:`count_replicates`) reuses the same
 inversion, vectorized over fixed-size chunks of derived streams, so parallel
@@ -31,23 +34,23 @@ schedules cannot change any result.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import IO, Sequence, Union
+from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
 
 from .dynamics import DEFAULT_MAX_STAGE, TransformHandle
-from .windows import IntensitySpec, Window, format_rat
+from .windows import IntensitySpec, RatLike, Window, format_rat
 
 __all__ = [
     "Rng",
     "PointConfig",
     "WeightedConfig",
-    "MarkedConfig",
     "Config",
     "sample_poisson",
     "count_replicates",
@@ -253,23 +256,36 @@ def _check_points(pts: Sequence[Fraction], window: Window) -> None:
 
 
 class PointConfig:
-    """Finite simple configuration: distinct sorted rational points in a window.
+    """Finite simple configuration: distinct sorted rational points in a
+    window, point i with the mark ``marks[i]`` in ``0..mark_count-1``, if any.
 
-    ``PointConfig(points, window)`` checks hand-built points.  A sampled
-    configuration holds, for each lattice frame of its sampling window, the
-    sorted uint64 grid indices of its points instead, and builds the exact
-    ``Fraction`` points when ``.points`` is first read.  Counting, thinning
-    and splitting never read them.  Either way the configuration is
-    immutable, and equality and hashing go by ``(points, window)``.
+    ``PointConfig(points, window, marks=None, mark_count=None)`` checks
+    hand-built points.  A sampled configuration holds, for each lattice
+    frame of its sampling window, the sorted uint64 grid indices of its
+    points instead, and builds the exact ``Fraction`` points when
+    ``.points`` is first read.  Counting, thinning, marking and splitting
+    never read them.  Either way the configuration is immutable, and
+    equality goes by ``(points, window, marks, mark_count)``.
     """
 
-    __slots__ = ("window", "_points", "_layout", "_ks", "_len")
+    __slots__ = ("window", "marks", "mark_count", "_points", "_layout", "_ks",
+                 "_len")
 
-    def __init__(self, points: Sequence[Fraction], window: Window) -> None:
+    def __init__(self, points: Sequence[Fraction], window: Window,
+                 marks: Sequence[int] | None = None,
+                 mark_count: int | None = None) -> None:
         pts = tuple(points)
         _check_points(pts, window)
-        self._set(window=window, _points=pts, _layout=None, _ks=None,
-                  _len=len(pts))
+        if (marks is None) != (mark_count is None):
+            raise ValueError("marks and mark_count go together")
+        if marks is not None:
+            marks = np.array([operator.index(m) for m in marks], dtype=np.intp)
+            if not (mark_count >= 1 and marks.size == len(pts)
+                    and ((marks >= 0) & (marks < mark_count)).all()):
+                raise ValueError(f"need one mark in 0..{mark_count - 1} per point")
+            marks.flags.writeable = False
+        self._set(window=window, marks=marks, mark_count=mark_count,
+                  _points=pts, _layout=None, _ks=None, _len=len(pts))
 
     @classmethod
     def _on_lattice(cls, layout: _Layout, ks: Sequence[np.ndarray],
@@ -280,8 +296,8 @@ class PointConfig:
                 raise ValueError("grid indices must be strictly increasing "
                                  "and below 2**53")
         c = object.__new__(cls)
-        c._set(window=window, _points=None, _layout=layout, _ks=tuple(ks),
-               _len=sum(k.size for k in ks))
+        c._set(window=window, marks=None, mark_count=None, _points=None,
+               _layout=layout, _ks=tuple(ks), _len=sum(k.size for k in ks))
         if window is not layout.window and \
                 _exact_counts(c, _one_column(window))[0] != len(c):
             raise ValueError(f"points outside window {window}")
@@ -294,6 +310,14 @@ class PointConfig:
     def __setattr__(self, name, value):
         raise AttributeError(f"PointConfig is immutable; cannot set {name!r}")
 
+    def _marked(self, marks: np.ndarray, mark_count: int) -> "PointConfig":
+        """These points with the marks marks, which the caller has checked."""
+        c = object.__new__(PointConfig)
+        marks.flags.writeable = False
+        c._set(**{**{name: getattr(self, name) for name in PointConfig.__slots__},
+                  "marks": marks, "mark_count": mark_count})
+        return c
+
     @property
     def points(self) -> tuple[Fraction, ...]:
         if self._points is None:
@@ -303,16 +327,22 @@ class PointConfig:
             object.__setattr__(self, "_points", tuple(pts))
         return self._points
 
-    def _subset(self, keep: np.ndarray, window: Window) -> "PointConfig":
-        """The points where the boolean mask keep is set, in window."""
+    def _subset(self, keep: np.ndarray, window: Window,
+                marked: bool = True) -> "PointConfig":
+        """The points where the boolean mask keep is set, in window, with
+        their marks unless marked is False."""
         if self._ks is None:
-            return PointConfig(
+            c = PointConfig(
                 tuple(p for p, k in zip(self.points, keep.tolist()) if k), window)
-        ks, start = [], 0
-        for k in self._ks:
-            ks.append(k[keep[start:start + k.size]])
-            start += k.size
-        return PointConfig._on_lattice(self._layout, ks, window)
+        else:
+            ks, start = [], 0
+            for k in self._ks:
+                ks.append(k[keep[start:start + k.size]])
+                start += k.size
+            c = PointConfig._on_lattice(self._layout, ks, window)
+        if marked and self.marks is not None:
+            return c._marked(self.marks[keep], self.mark_count)
+        return c
 
     def __len__(self) -> int:
         return self._len
@@ -320,21 +350,26 @@ class PointConfig:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointConfig):
             return NotImplemented
-        if self._len != other._len or self.window != other.window:
+        if (self._len, self.window, self.mark_count) != \
+                (other._len, other.window, other.mark_count):
+            return False
+        if self.marks is not None and not np.array_equal(self.marks, other.marks):
             return False
         if self._layout is not None and self._layout is other._layout:
             return all(np.array_equal(a, b) for a, b in zip(self._ks, other._ks))
         return self.points == other.points
 
     def __hash__(self) -> int:
-        return hash((self.points, self.window))
+        return hash((self.points, self.window, self.mark_count))
 
     def __reduce__(self):
         # pickle and copy go through the public constructor
-        return PointConfig, (self.points, self.window)
+        return PointConfig, (self.points, self.window, self.marks, self.mark_count)
 
     def __repr__(self) -> str:
-        return f"PointConfig(points={self.points!r}, window={self.window!r})"
+        marks = "" if self.marks is None else \
+            f", marks={tuple(self.marks.tolist())!r}, mark_count={self.mark_count}"
+        return f"PointConfig(points={self.points!r}, window={self.window!r}{marks})"
 
 
 @dataclass(frozen=True)
@@ -352,32 +387,17 @@ class WeightedConfig:
             if w <= 0:
                 raise ValueError("weights must be positive")
 
+    @classmethod
+    def of_sum(cls, pairs: Iterable[tuple[Fraction, RatLike]],
+               window: Window) -> "WeightedConfig":
+        """The measure summing, at each point, its weights among pairs."""
+        acc: dict[Fraction, Fraction] = {}
+        for p, w in pairs:
+            acc[p] = acc.get(p, Fraction(0)) + w
+        return cls(tuple(sorted(acc.items())), window)
+
     def __len__(self) -> int:
         return len(self.atoms)
-
-
-@dataclass(frozen=True)
-class MarkedConfig:
-    """Points with integer marks from a finite alphabet 0..mark_count-1."""
-
-    atoms: tuple[tuple[Fraction, int], ...]
-    window: Window
-    mark_count: int
-
-    def __post_init__(self):
-        if self.mark_count < 1:
-            raise ValueError("mark alphabet must be nonempty")
-        _check_points(self.points, self.window)
-        for p, m in self.atoms:
-            if not 0 <= m < self.mark_count:
-                raise ValueError(f"mark {m} outside alphabet")
-
-    @property
-    def points(self) -> tuple[Fraction, ...]:
-        return tuple(p for p, _ in self.atoms)
-
-    def ground(self) -> PointConfig:
-        return PointConfig(self.points, self.window)
 
 
 Config = Union[PointConfig, WeightedConfig]
@@ -454,11 +474,14 @@ def count_replicates(
 
 def push_forward(c: Config, T: TransformHandle, k: int,
                  max_stage: int = DEFAULT_MAX_STAGE) -> Config:
-    """Image configuration under T^k; weights ride along, window follows."""
+    """Image configuration under T^k; weights and marks ride along, window follows."""
     new_window = T.image_window(c.window, k, max_stage=max_stage)
     if isinstance(c, PointConfig):
-        pts = sorted(T.apply(x, k, max_stage=max_stage) for x in c.points)
-        return PointConfig(tuple(pts), new_window)
+        images = [T.apply(x, k, max_stage=max_stage) for x in c.points]
+        order = sorted(range(len(images)), key=images.__getitem__)
+        marks = None if c.marks is None else c.marks[order]
+        return PointConfig([images[i] for i in order], new_window, marks,
+                           c.mark_count)
     atoms = sorted((T.apply(x, k, max_stage=max_stage), w) for x, w in c.atoms)
     return WeightedConfig(tuple(atoms), new_window)
 
@@ -467,45 +490,41 @@ def superpose(c1: Config, c2: Config) -> Config:
     """Measure sum of two configurations over one shared window.
 
     Point + point stays simple when supports are disjoint; a shared point
-    promotes the result to a weighted configuration.
+    promotes the result to a weighted configuration.  Marks are labels, not
+    weights: every point counts 1, and the sum carries no marks.
     """
     if c1.window != c2.window:
         raise ValueError("superpose requires identical windows")
-    w1 = c1.points if isinstance(c1, PointConfig) else None
-    w2 = c2.points if isinstance(c2, PointConfig) else None
-    if w1 is not None and w2 is not None and not (set(w1) & set(w2)):
-        return PointConfig(tuple(sorted(w1 + w2)), c1.window)
-    acc: dict[Fraction, Fraction] = {}
-    for c in (c1, c2):
-        if isinstance(c, PointConfig):
-            for p in c.points:
-                acc[p] = acc.get(p, Fraction(0)) + 1
-        else:
-            for p, w in c.atoms:
-                acc[p] = acc.get(p, Fraction(0)) + w
-    return WeightedConfig(tuple(sorted(acc.items())), c1.window)
+    pairs = [(p, w) for c in (c1, c2) for p, w in
+             (c.atoms if isinstance(c, WeightedConfig) else
+              ((p, 1) for p in c.points))]
+    pts = {p for p, _ in pairs}
+    if isinstance(c1, PointConfig) and isinstance(c2, PointConfig) and \
+            len(pts) == len(pairs):
+        return PointConfig(sorted(pts), c1.window)
+    return WeightedConfig.of_sum(pairs, c1.window)
 
 
 class Columns:
     """Count columns ``(j, A)`` for :func:`counts`, with their windows' part
-    edges ``[a_1, b_1, a_2, ...]`` listed once.  Frames cache their edge
-    thresholds by Columns object, so pass the same one for every replicate."""
+    edges ``[a_1, b_1, a_2, ...]`` listed once, and per edge the row of
+    :func:`_mark_table` its column reads (None when no column names a mark).
+    Frames cache their edge thresholds by Columns object, so pass the same
+    one for every replicate."""
 
-    __slots__ = ("selectors", "windows", "edges", "parts", "_bounds")
+    __slots__ = ("windows", "edges", "parts", "rows", "top", "_bounds")
 
     def __init__(self, columns: Sequence[tuple[int | None, Window]]) -> None:
         columns = list(columns)
-        where: dict = {}  # j -> the indices of its columns
-        for i, (j, _) in enumerate(columns):
-            where.setdefault(j, []).append(i)
-        # j -> where its counts go, and the Columns that counts them
-        self.selectors = {j: (slice(None), self) for j in where} \
-            if len(where) == 1 else \
-            {j: (np.array(idx), Columns([columns[i] for i in idx]))
-             for j, idx in where.items()}
+        self.top = max((j for j, _ in columns if j is not None), default=-1)
+        if any(j is not None and j < 0 for j, _ in columns):
+            raise ValueError("column selectors must be marks, at least 0")
         self.windows = tuple(A for _, A in columns)
         self.edges = [x for A in self.windows for p in A.parts
                       for x in (p.lo, p.hi)]
+        self.rows = None if self.top < 0 else np.array(
+            [-1 if j is None else j for j, A in columns for _ in A.parts
+             for _ in range(2)], dtype=np.intp)
         nparts = [len(A.parts) for A in self.windows]
         bounds = [0, *accumulate(nparts)]
         self.parts = list(zip(bounds, bounds[1:]))  # each window's parts
@@ -535,22 +554,27 @@ def _uncovered(window: Window, columns: Columns) -> Window | None:
                 None)
 
 
-def _ranks(c, columns: Columns, mark: int | None = None) -> np.ndarray:
-    """For each edge of columns, the number of points of c (with the given
-    mark, if any) below it.  On a lattice, one ``searchsorted`` per frame,
-    summed: a frame wholly below an edge gives all its points, one above it
-    none.  Other configurations bisect their points."""
+def _ranks(c: Config, columns: Columns) -> np.ndarray:
+    """For each edge of columns, the number of points of c below it.  On a
+    lattice, one ``searchsorted`` per frame, summed: a frame wholly below an
+    edge gives all its points, one above it none.  Other configurations
+    bisect their points."""
     if isinstance(c, PointConfig) and c._ks is not None:
-        ranks = [ks.searchsorted(frame.cuts(columns))
-                 for frame, ks in zip(c._layout.frames, c._ks) if ks.size]
-        if not ranks:
-            return np.zeros(len(columns.edges), dtype=np.int64)
-        return sum(ranks[1:], ranks[0])
-    if isinstance(c, PointConfig):
-        xs = c.points
-    else:
-        xs = [p for p, m in c.atoms if mark is None or m == mark]
+        return sum((ks.searchsorted(frame.cuts(columns))
+                    for frame, ks in zip(c._layout.frames, c._ks) if ks.size),
+                   np.zeros(len(columns.edges), dtype=np.int64))
+    xs = c.points if isinstance(c, PointConfig) else [p for p, _ in c.atoms]
     return np.array([bisect_left(xs, x) for x in columns.edges], dtype=np.int64)
+
+
+def _mark_table(c: PointConfig) -> np.ndarray:
+    """Entry (j, i) counts the points of mark j among the first i points of
+    c; the last row, j = -1 = mark_count, counts them all."""
+    m, n = c.mark_count, len(c)
+    table = np.zeros((m + 1, n + 1), dtype=np.int64)
+    table[c.marks, np.arange(1, n + 1)] = 1  # point i - 1 steps its row at i
+    table[m, 1:] = 1
+    return table.cumsum(axis=1)
 
 
 def _window_mask(c: PointConfig, A: Window) -> np.ndarray:
@@ -583,50 +607,38 @@ def _gaps_above(c: PointConfig, kappa: Fraction) -> np.ndarray:
     return np.concatenate(out) if out else np.zeros(0, dtype=bool)
 
 
-def _select(sample, j):
-    """The configuration and mark that column selector j names in sample."""
-    if isinstance(sample, (list, tuple)):
-        if j is not None and 0 <= j < len(sample):
-            return sample[j], None
-    elif j is None or (isinstance(sample, MarkedConfig)
-                       and 0 <= j < sample.mark_count):
-        return sample, j
-    raise ValueError(f"column selector {j!r} names no component or mark "
-                     f"of the {type(sample).__name__} sample")
-
-
-def _exact_counts(c, columns: Columns, mark: int | None = None) -> np.ndarray:
-    """N(A) for each window A of columns: point counts as int64, or a list
-    of exact Fraction weights for a weighted configuration."""
+def _exact_counts(c: Config, columns: Columns) -> np.ndarray:
+    """N(A) for each column (j, A) of columns: point counts as int64, or a
+    list of exact Fraction weights for a weighted configuration."""
     A = _uncovered(c.window, columns)
     if A is not None:
         raise ValueError(f"window {A} exceeds observed window {c.window}")
-    rank = _ranks(c, columns, mark)
+    if columns.top >= (getattr(c, "mark_count", None) or 0):
+        raise ValueError(f"column selector {columns.top} names no component or mark")
+    rank = _ranks(c, columns)
     if isinstance(c, WeightedConfig):
         r = rank.tolist()
         atoms = [c.atoms[i:j] for i, j in zip(r[::2], r[1::2])]  # per part
         return [sum((w for part in atoms[a:b] for _, w in part), Fraction(0))
                 for a, b in columns.parts]
+    if columns.rows is not None:
+        rank = _mark_table(c)[columns.rows, rank]
     return columns.totals(rank[1::2] - rank[::2])
 
 
-def counts(sample, columns: Columns | Sequence[tuple[int | None, Window]]
-           ) -> np.ndarray:
+def counts(sample: Config,
+           columns: Columns | Sequence[tuple[int | None, Window]]) -> np.ndarray:
     """N(A) of one realization for every column ``(j, A)``, as float64.
 
     j is None for the whole realization (its points, or the total weight of
-    a weighted configuration), a component index of a sequence of
-    configurations (a split), or a mark of a :class:`MarkedConfig`.  Each
-    value is exact until its one rounding to float.  A must be covered by
-    the configuration's window: unobserved territory is an error, not 0.
+    a weighted configuration), or a mark of a marked configuration, such as
+    a component of a split.  Each value is exact until its one rounding to
+    float.  A must be covered by the configuration's window: unobserved
+    territory is an error, not 0.
     """
     if not isinstance(columns, Columns):
         columns = Columns(columns)
-    out = np.empty(len(columns))
-    for j, (where, cols) in columns.selectors.items():
-        c, mark = _select(sample, j)
-        out[where] = _exact_counts(c, cols, mark)
-    return out
+    return np.asarray(_exact_counts(sample, columns), dtype=np.float64)
 
 
 def count(c: Config, A: Window):
@@ -640,31 +652,27 @@ def count(c: Config, A: Window):
 def free_check(c: PointConfig, T: TransformHandle, K: int,
                max_stage: int = DEFAULT_MAX_STAGE) -> bool:
     """True iff no support point maps onto another under T^k, 0 < |k| <= K."""
-    support = set(c.points)
-    for k in range(-K, K + 1):
-        if k == 0:
-            continue
-        for x in c.points:
-            if T.apply(x, k, max_stage=max_stage) in support:
-                return False
-    return True
+    return not _meets(c.points, set(c.points),
+                      [k for k in range(-K, K + 1) if k], T, max_stage)
 
 
 def dissociation_check(c1: PointConfig, c2: PointConfig, T: TransformHandle,
                        K: int, max_stage: int = DEFAULT_MAX_STAGE) -> bool:
     """True iff supports never meet under T^k for any |k| <= K (k=0 included)."""
-    support2 = set(c2.points)
-    for k in range(-K, K + 1):
-        for x in c1.points:
-            if T.apply(x, k, max_stage=max_stage) in support2:
-                return False
-    return True
+    return not _meets(c1.points, set(c2.points), range(-K, K + 1), T, max_stage)
+
+
+def _meets(xs, support: set, ks, T: TransformHandle, max_stage: int) -> bool:
+    """Does T^k x lie in support for some k of ks, x of xs?  k by k."""
+    return any(T.apply(x, k, max_stage=max_stage) in support
+               for k in ks for x in xs)
 
 
 def dump_csv(c: Config, fh: IO[str], *, seed: int | None = None,
              stream_id: int | None = None,
              intensity: IntensitySpec | None = None) -> None:
-    """Write a configuration as CSV: exact point strings, decimal weights."""
+    """Write a configuration as CSV: exact point strings, then decimal
+    weights, or the marks of a marked configuration."""
     meta = [f"window={c.window}"]
     if seed is not None:
         meta.insert(0, f"seed={seed}")
@@ -673,10 +681,10 @@ def dump_csv(c: Config, fh: IO[str], *, seed: int | None = None,
     if intensity is not None:
         meta.append(f"intensity={format_rat(intensity.alpha)}")
     fh.write("# " + " ".join(meta) + "\n")
-    fh.write("point,weight\n")
-    if isinstance(c, PointConfig):
-        for p in c.points:
-            fh.write(f"{format_rat(p)},1\n")
+    if isinstance(c, WeightedConfig):
+        fh.write("point,weight\n")
+        rows = ((p, float(w)) for p, w in c.atoms)
     else:
-        for p, w in c.atoms:
-            fh.write(f"{format_rat(p)},{float(w)}\n")
+        fh.write("point,weight\n" if c.marks is None else "point,mark\n")
+        rows = zip(c.points, [1] * len(c) if c.marks is None else c.marks.tolist())
+    fh.writelines(f"{format_rat(p)},{v}\n" for p, v in rows)

@@ -1,11 +1,12 @@
-"""Splittings, separation thinning, and marked configurations.
+"""Splittings, separation thinning, and marks.
 
-Splitting is implemented *through* marking: a Bernoulli split draws one mark
-per point and projects, so the split components superpose to the input
-exactly, realization by realization, and marking followed by projection over
-a partition of the mark alphabet is literally the same object.  A split
-of a sampled configuration selects its grid indices with one boolean mask
-per component, so the components stay on the lattice.
+Marks are one small integer per point of a
+:class:`~sushilab.point_process.PointConfig`.  Splitting is marking: a
+Bernoulli split draws one mark per point and its components are the
+projections on single marks, so they superpose to the input exactly
+(Kingman's colouring theorem, *Poisson Processes*, 1993, ch. 5), and a
+split is counted per mark of that one marked sample.  Marking and
+projection keep a sampled configuration's grid indices on its lattice.
 
 Separation thinning follows a buffered-window protocol: the input must be
 observed on a window extending at least kappa beyond the evaluation core on
@@ -25,7 +26,6 @@ import numpy as np
 
 from .point_process import (
     _CACHE_SIZE,
-    MarkedConfig,
     PointConfig,
     Rng,
     _gaps_above,
@@ -34,7 +34,6 @@ from .point_process import (
 from .windows import RatLike, Window, as_rat
 
 __all__ = [
-    "MarkedConfig",
     "attach_marks",
     "project_mark_set",
     "bernoulli_split",
@@ -53,28 +52,28 @@ def _validate_probs(probs: Sequence[float]) -> np.ndarray:
 
 def _draw_marks(probs: np.ndarray, n: int, rng: Rng) -> np.ndarray:
     """n i.i.d. marks with law probs: one uniform per point, in point order."""
-    if n == 0:
-        return np.zeros(0, dtype=np.intp)
     us = rng.random_block(n)
     return np.minimum(np.searchsorted(np.cumsum(probs), us, side="right"),
                       len(probs) - 1)
 
 
-def attach_marks(c: PointConfig, mark_probs: Sequence[float], rng: Rng) -> MarkedConfig:
-    """I.i.d. marks with law mark_probs; one uniform per point, in point order."""
+def attach_marks(c: PointConfig, mark_probs: Sequence[float], rng: Rng) -> PointConfig:
+    """The points of c with i.i.d. marks of law mark_probs, marks
+    0..len(mark_probs)-1; one uniform per point, in point order."""
     probs = _validate_probs(mark_probs)
-    marks = _draw_marks(probs, len(c), rng)
-    atoms = tuple((p, int(m)) for p, m in zip(c.points, marks))
-    return MarkedConfig(atoms, c.window, len(probs))
+    return c._marked(_draw_marks(probs, len(c), rng), len(probs))
 
 
-def project_mark_set(mc: MarkedConfig, B: Iterable[int]) -> PointConfig:
-    """Sub-process of points whose mark lies in B."""
-    keep = set(B)
-    for m in keep:
+def project_mark_set(mc: PointConfig, B: Iterable[int]) -> PointConfig:
+    """Sub-process of points whose mark lies in B, unmarked."""
+    if mc.marks is None:
+        raise ValueError("projection needs a marked configuration")
+    keep = np.zeros(mc.mark_count, dtype=bool)  # per mark: does B hold it?
+    for m in B:
         if not 0 <= m < mc.mark_count:
             raise ValueError(f"mark {m} outside alphabet")
-    return PointConfig(tuple(p for p, m in mc.atoms if m in keep), mc.window)
+        keep[m] = True
+    return mc._subset(keep[mc.marks], mc.window, marked=False)
 
 
 def bernoulli_split(c: PointConfig, probs: Sequence[float], rng: Rng) -> list[PointConfig]:
@@ -84,9 +83,8 @@ def bernoulli_split(c: PointConfig, probs: Sequence[float], rng: Rng) -> list[Po
     projection on mark i; a lattice configuration splits into lattice
     configurations without building its points.
     """
-    p = _validate_probs(probs)
-    marks = _draw_marks(p, len(c), rng)
-    return [c._subset(marks == i, c.window) for i in range(len(p))]
+    mc = attach_marks(c, probs, rng)
+    return [project_mark_set(mc, {i}) for i in range(mc.mark_count)]
 
 
 def separation_thin(c: PointConfig, kappa: RatLike) -> PointConfig:

@@ -199,9 +199,9 @@ def mixed_moment_factorization(joint_sampler, groupings: Sequence[Sequence[Windo
                                name: str = "mixed_moment_factorization") -> TestReport:
     """Joint mixed moment against the product of per-component moments.
 
-    joint_sampler maps an Rng to a tuple of component configurations, or
-    to a marked configuration; grouping j supplies the windows multiplied
-    within component (or mark) j.  The difference joint - product is
+    joint_sampler maps an Rng to a marked configuration, such as the
+    components of a split as marks; grouping j supplies the windows
+    multiplied within mark (component) j.  The difference joint - product is
     standardized by the delta method using the full empirical covariance of
     the per-replicate vector, so shared replicates are priced in.
     """

@@ -171,7 +171,9 @@ def test_criterion_05_splitting_independence():
         assert rep.decision == "pass", rep.to_dict()
         ps.append(rep.p_value)
 
-    mixed = mixed_moment_factorization(sampler, [[W], [W]], 20000,
+    # the same draws as a marked sample, counted per mark (component)
+    marked = lambda rng: attach_marks(sample_poisson(alpha, W, rng), probs, rng)
+    mixed = mixed_moment_factorization(marked, [[W], [W]], 20000,
                                        Rng(SEED, 5002))
     assert mixed.decision == "pass", mixed.to_dict()
 
@@ -218,7 +220,7 @@ def test_criterion_07_marked_processes():
 
     def evaluate(mc):
         cells = [0.0, 0.0, 0.0]
-        for _, mk in mc.atoms:
+        for mk in mc.marks.tolist():
             cells[mk] += 1.0
         return cells
 

@@ -156,6 +156,35 @@ class TestSamplers:
                     acc[pos] = acc.get(pos, F(0)) + 1
         assert v == WeightedConfig(tuple(sorted(acc.items())), core)
 
+    @pytest.mark.parametrize("probs", [
+        [F(1, 3), F(2, 3)],
+        [0, F(1, 2), F(1, 2)],
+        [F(1, 7), 0, F(2, 7), F(4, 7)],
+        # cumulative probabilities a hair off a float, either side
+        [F(1, 2) + F(1, 2**60), F(1, 2) - F(1, 2**60)],
+        [F(1, 2) - F(1, 2**60), F(1, 2) + F(1, 2**60)],
+    ])
+    def test_sushi_entry_choice_matches_the_scalar_scan(self, probs):
+        # entry i is the first whose cumulative probability exceeds a single
+        # uniform, compared exactly; the stream ends where the scan's ends
+        law = ClusterLaw([ClusterEntry({k: k + 1}, p) for k, p in enumerate(probs)])
+        spec = SushiSpec(F(3), law, T1)
+        core = parse_window("[0,6)")
+        cum = [sum(probs[:i + 1], F(0)) for i in range(len(probs))]
+        for seed in range(40):
+            rng, ref = Rng(seed, 1), Rng(seed, 1)
+            v = sample_sushi(spec, core, rng)
+            ground = sample_poisson(IntensitySpec(3), parse_window(
+                f"[{1 - len(probs)},6)"), ref)
+            acc = {}
+            for g in ground.points:
+                u = ref.random()
+                i = next(i for i, q in enumerate(cum) if u < q or i == len(cum) - 1)
+                if g + i in core:
+                    acc[g + i] = acc.get(g + i, F(0)) + i + 1
+            assert v == WeightedConfig(tuple(sorted(acc.items())), core)
+            assert rng.random() == ref.random()
+
     def test_sushi_on_machine_lands_in_core(self):
         m, core = chacon_level_core()
         spec = SushiSpec(9, PAIR_LAW, m)

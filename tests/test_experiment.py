@@ -228,6 +228,45 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match=re.escape("battery[1].depth")):
             run(ExperimentSpec.from_dict(d))
 
+    @pytest.mark.parametrize("construction,params,item,message", [
+        ("poisson", {}, {"test": "intensity", "window": "[3,5)"},
+         "battery[1].window: [3,5) exceeds observed window [0,4)"),
+        ("poisson", {}, {"test": "poisson_gof", "window": "[-1,1)",
+                         "replicates": 1000}, "battery[1].window: [-1,1)"),
+        ("poisson", {}, {"test": "diagonal_weight", "window": "[0,1)+[4,5)"},
+         "battery[1].window: [0,1)+[4,5) exceeds"),
+        ("poisson", {}, {"test": "covariance", "A": "[0,1)", "B": "[3,9/2)"},
+         "battery[1].B: [3,9/2) exceeds observed window [0,4)"),
+        ("mark", {"mark_probs": ["1/2", "1/2"]},
+         {"test": "mixed_moment", "groupings": [["[0,1)"], ["[1,2)", "[2,5)"]]},
+         "battery[1].groupings: [2,5) exceeds"),
+        ("poisson", {}, {"test": "cesaro", "windows": ["[0,1)", "[4,5)"]},
+         "battery[1].windows: [4,5) exceeds"),
+        ("thin", {"kappa": "1/2"}, {"test": "intensity", "window": "[0,4)"},
+         "battery[1].window: [0,4) exceeds observed window [1/2,7/2)"),
+        ("poisson", {}, {"test": "intensity", "replicates": 5},
+         "battery[1].replicates: must be an integer in 100..inf"),
+        ("poisson", {}, {"test": "intensity", "replicates": "many"},
+         "battery[1].replicates: must be an integer"),
+        ("poisson", {}, {"test": "poisson_gof", "replicates": 500},
+         "battery[1].replicates: poisson_gof needs at least 1000, not 500"),
+        ("poisson", {}, {"test": "poisson_gof"},
+         "battery[1].replicates: poisson_gof needs at least 1000, not 400"),
+    ])
+    def test_item_windows_and_replicates_checked_before_sampling(
+            self, monkeypatch, construction, params, item, message):
+        from sushilab import experiment
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the spec was validated")
+
+        monkeypatch.setattr(experiment, "sample_poisson", no_sampling)
+        monkeypatch.setattr(experiment, "count_replicates", no_sampling)
+        d = minimal_spec(construction=construction, params=params,
+                         battery=[{"test": "intensity"}, item])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(ExperimentSpec.from_dict(d))
+
     def test_two_sample_other_checked_at_load(self):
         d = minimal_spec(construction="sushi",
                          params={"c": "1/2", "law": [{"prob": "1", "weights": {"0": "1"}}]},

@@ -16,7 +16,6 @@ import pytest
 
 from sushilab.point_process import (
     Columns,
-    MarkedConfig,
     PointConfig,
     Rng,
     WeightedConfig,
@@ -41,15 +40,17 @@ def windows(draw, max_parts=4):
 
 
 @st.composite
-def lattice_configs(draw):
+def lattice_configs(draw, alphas=(F(1, 3), F(1), F(5, 2), F(6))):
     w = draw(windows())
-    alpha = draw(st.sampled_from([F(1, 3), F(1), F(5, 2), F(6)]))
+    alpha = draw(st.sampled_from(alphas))
     seed = draw(st.integers(0, 2**32))
     return sample_poisson(IntensitySpec(alpha), w, Rng(seed, 1))
 
 
 def reference(c):
-    return PointConfig(c.points, c.window)
+    if c.marks is None:
+        return PointConfig(c.points, c.window)
+    return PointConfig(c.points, c.window, c.marks, c.mark_count)
 
 
 def edges(draw, c):
@@ -102,15 +103,52 @@ def test_counts_agree_with_point_by_point_counts(data):
     assert counts(c, cols).tolist() == expect
     assert counts(reference(c), cols).tolist() == expect
     assert [count(c, A) for A in ws] == expect
-    # a split is counted per component, a marked sample per mark
+    # a split's components are the marks of the marked sample
     seed = data.draw(st.integers(0, 2**32))
     comps = bernoulli_split(c, [F(1, 3), F(2, 3)], Rng(seed, 2))
     mc = attach_marks(c, [F(1, 3), F(2, 3)], Rng(seed, 2))
     by_j = [(j, A) for A in ws for j in (1, 0)]
     row = [float(sum(1 for p in comps[j].points if p in A)) for j, A in by_j]
-    assert counts(comps, by_j).tolist() == row
     assert counts(mc, by_j).tolist() == row
     assert counts(mc, [(None, A) for A in ws]).tolist() == expect
+
+
+# F(120) cuts a part longer than 35/6 into frames of mean at most 700
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_counts_agree_for_every_selector(data):
+    c = data.draw(lattice_configs(alphas=(F(1, 3), F(5, 2), F(120))))
+    m = data.draw(st.integers(1, 4))
+    probs = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)
+                      .filter(any))
+    mc = attach_marks(c, [F(p, sum(probs)) for p in probs],
+                      Rng(data.draw(st.integers(0, 2**32)), 2))
+    ws = sub_windows(data.draw, c, data.draw(st.integers(1, 4)))
+    cols = [(j, A) for A in ws for j in (None, *range(m))]
+    labelled = list(zip(mc.points, mc.marks.tolist()))
+    expect = [float(sum(1 for p, k in labelled if p in A and j in (None, k)))
+              for j, A in cols]
+    assert counts(mc, cols).tolist() == expect
+    assert counts(reference(mc), cols).tolist() == expect
+
+
+def test_counts_for_every_selector_on_a_multi_frame_layout():
+    # mean 1800 on [0,15) and 60 on [16,16.5): three frames, then a fourth
+    w = Window([Interval(F(0), F(15)), Interval(F(16), F(33, 2))])
+    c = sample_poisson(IntensitySpec(120), w, Rng(8, 8))
+    assert len(c._ks) == 4
+    mc = attach_marks(c, [F(1, 2), F(1, 3), F(1, 6)], Rng(8, 9))
+    pts = mc.points
+    # two parts, each across a meeting of frames; the second also across
+    # the gap between the window's parts
+    A = Window([Interval(F(1), pts[700]),
+                Interval(pts[1200], F(65, 4))]).intersect(w)
+    cols = [(j, B) for B in (A, w) for j in (2, None, 0, 1)]
+    labelled = list(zip(pts, mc.marks.tolist()))
+    expect = [float(sum(1 for p, k in labelled if p in B and j in (None, k)))
+              for j, B in cols]
+    assert counts(mc, cols).tolist() == expect
+    assert counts(reference(mc), cols).tolist() == expect
 
 
 def test_counts_of_weights_are_exact_sums():
@@ -126,13 +164,14 @@ def test_counts_of_weights_are_exact_sums():
 def test_counts_refuse_what_the_sample_lacks():
     w = Window.span(0, 4)
     c = sample_poisson(IntensitySpec(2), w, Rng(1, 1))
-    mc = MarkedConfig(((F(1), 0), (F(2), 1)), w, 2)
-    comps = bernoulli_split(c, [0.5, 0.5], Rng(1, 2))
+    mc = PointConfig((F(1), F(2)), w, marks=(0, 1), mark_count=2)
     with pytest.raises(ValueError, match="exceeds observed window"):
         counts(c, [(None, Window.span(3, 5))])
-    for sample, j in ((c, 0), (mc, 2), (comps, None), (comps, 2)):
+    for sample, j in ((c, 0), (mc, 2), (attach_marks(c, [1.0], Rng(1, 2)), 1)):
         with pytest.raises(ValueError, match="names no component or mark"):
             counts(sample, [(j, w)])
+    with pytest.raises(ValueError, match="at least 0"):
+        counts(mc, [(-1, w)])
 
 
 @settings(max_examples=80, deadline=None)
@@ -178,8 +217,11 @@ def test_lattice_operations_build_no_fractions():
 
 def test_pickle_and_copy_keep_the_configuration():
     c = sample_poisson(IntensitySpec(2), Window.span(0, 5), Rng(6, 6))
-    assert pickle.loads(pickle.dumps(c)) == c
-    assert copy.deepcopy(c) == c == copy.copy(c)
+    mc = attach_marks(c, [0.5, 0.5], Rng(6, 7))
+    for x in (c, mc):
+        assert pickle.loads(pickle.dumps(x)) == x
+        assert copy.deepcopy(x) == x == copy.copy(x)
+    assert mc != c
 
 
 def test_empty_parts_and_neighbours_across_parts():

@@ -257,6 +257,11 @@ def test_dump_csv_format():
     buf2 = io.StringIO()
     dump_csv(PointConfig((F(1, 3),), parse_window("[0,1)")), buf2)
     assert buf2.getvalue().splitlines()[2] == "1/3,1"
+    buf3 = io.StringIO()
+    dump_csv(PointConfig((F(1, 3), F(1, 2)), parse_window("[0,1)"), (2, 0), 3),
+             buf3, seed=7)
+    assert buf3.getvalue().splitlines() == ["# seed=7 window=[0,1)", "point,mark",
+                                            "1/3,2", "1/2,0"]
 
 
 def test_part_of_mean_700_draws_as_one_inversion():

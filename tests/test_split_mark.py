@@ -8,7 +8,6 @@ import pytest
 from sushilab.dynamics import Translation
 from sushilab.point_process import PointConfig, Rng, count, push_forward, sample_poisson, superpose
 from sushilab.split_mark import (
-    MarkedConfig,
     attach_marks,
     bernoulli_split,
     project_mark_set,
@@ -24,9 +23,9 @@ def poisson(seed, alpha=1, win="[0,20)", stream=0):
 def test_attach_marks_single_letter():
     c = poisson(1)
     mc = attach_marks(c, [1.0], Rng(1, 9))
-    assert all(m == 0 for _, m in mc.atoms)
+    assert all(m == 0 for _, m in zip(mc.points, mc.marks))
     assert project_mark_set(mc, {0}) == c
-    assert mc.ground() == c
+    assert PointConfig(mc.points, mc.window) == c
 
 
 def test_attach_marks_determinism_and_law():
@@ -35,7 +34,7 @@ def test_attach_marks_determinism_and_law():
     b = attach_marks(c, [0.5, 0.5], Rng(3, 3))
     assert a == b
     assert a.mark_count == 2
-    marks = [m for _, m in a.atoms]
+    marks = [m for _, m in zip(a.points, a.marks)]
     assert set(marks) <= {0, 1}
 
 
@@ -143,7 +142,8 @@ def test_count_and_diagonal_weight_count_marked_points():
     from sushilab.moments import diagonal_weight
 
     w = parse_window("[0,10)")
-    mc = MarkedConfig(tuple((F(i), i % 3) for i in range(10)), w, 3)
+    mc = PointConfig([F(i) for i in range(10)], w,
+                     marks=[i % 3 for i in range(10)], mark_count=3)
     assert count(mc, w) == 10
     assert count(mc, parse_window("[0,5)")) == 5
     res = diagonal_weight(lambda rng: mc, w, 2, 4, 100, Rng(1))
@@ -153,8 +153,41 @@ def test_count_and_diagonal_weight_count_marked_points():
 def test_marked_config_validation():
     w = parse_window("[0,1)")
     with pytest.raises(ValueError):
-        MarkedConfig(((F(0), 2),), w, 2)  # mark out of range
+        PointConfig((F(0),), w, marks=(2,), mark_count=2)  # mark out of range
     with pytest.raises(ValueError):
-        MarkedConfig(((F(0), 0), (F(0), 1)), w, 2)  # duplicate point
+        PointConfig((F(0), F(0)), w, marks=(0, 1), mark_count=2)  # duplicate point
     with pytest.raises(ValueError):
         attach_marks(PointConfig((), w), [0.5, 0.6], Rng(1))  # bad probs
+    with pytest.raises(ValueError, match="go together"):
+        PointConfig((F(0),), w, marks=(0,))
+    with pytest.raises(ValueError, match="one mark in"):
+        PointConfig((F(0), F(1, 2)), w, marks=(0,), mark_count=1)
+    with pytest.raises(ValueError, match="one mark in"):
+        PointConfig((), w, marks=(), mark_count=0)
+    with pytest.raises(TypeError):
+        PointConfig((F(0),), w, marks=(0.5,), mark_count=2)
+    with pytest.raises(ValueError, match="marked configuration"):
+        project_mark_set(PointConfig((F(0),), w), {0})
+
+
+def test_marks_are_labels_under_push_forward_and_superpose():
+    # a mark rides along with its point and never weighs: two points of
+    # marks 2 and 1 stay two points of mass 2, and a mark 0 is a mark
+    w = parse_window("[0,10)")
+    mc = PointConfig((F(1), F(3)), w, marks=(2, 1), mark_count=3)
+    out = push_forward(mc, Translation(1), 1)
+    assert out == PointConfig((F(2), F(4)), parse_window("[1,11)"),
+                              marks=(2, 1), mark_count=3)
+    assert count(out, out.window) == 2
+    back = push_forward(PointConfig((F(1), F(3)), w, marks=(0, 1), mark_count=2),
+                        Translation(-1), 1)
+    assert list(zip(back.points, back.marks.tolist())) == [(F(0), 0), (F(2), 1)]
+    zero = PointConfig((F(5),), w, marks=(0,), mark_count=3)
+    both = superpose(mc, zero)
+    assert both == PointConfig((F(1), F(3), F(5)), w)
+    assert count(both, w) == 3
+    shared = superpose(mc, PointConfig((F(3),), w, marks=(0,), mark_count=3))
+    assert shared.atoms == ((F(1), F(1)), (F(3), F(2)))
+    # separation thinning keeps the marks of the points it keeps
+    thinned = separation_thin(mc, F(1, 2))
+    assert thinned.marks.tolist() == [2, 1] and thinned.mark_count == 3

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from sushilab.dynamics import RankOneMachine, Translation, chacon3_recipe
-from sushilab.point_process import Rng, count_replicates, sample_poisson
-from sushilab.split_mark import bernoulli_split
+from sushilab.point_process import PointConfig, Rng, count_replicates, sample_poisson
+from sushilab.split_mark import attach_marks
 from sushilab.stats import (
     TestReport as Report,
 )
@@ -130,7 +130,7 @@ class TestMixedMoment:
 
         def joint(rng):
             ground = sample_poisson(UNIT, W, rng)
-            return bernoulli_split(ground, [F(1, 2), F(1, 2)], rng)
+            return attach_marks(ground, [F(1, 2), F(1, 2)], rng)
 
         rep = mixed_moment_factorization(
             joint, [[W], [W]], 3000, Rng(20260823, 50)
@@ -141,18 +141,22 @@ class TestMixedMoment:
         W = parse_window("[0,10)")
 
         def joint(rng):
+            # mark 1 duplicates mark 0, shifted by 10 onto [10,20)
             c = sample_poisson(UNIT, W, rng)
-            return (c, c)
+            return PointConfig(c.points + tuple(p + 10 for p in c.points),
+                               parse_window("[0,20)"),
+                               [0] * len(c) + [1] * len(c), 2)
 
         rep = mixed_moment_factorization(
-            joint, [[W], [W]], 3000, Rng(20260823, 51)
+            joint, [[W], [parse_window("[10,20)")]], 3000, Rng(20260823, 51)
         )
         assert rep.decision == "reject"
 
     def test_single_group_trivial(self):
         W = parse_window("[0,5)")
         rep = mixed_moment_factorization(
-            lambda rng: (sample_poisson(UNIT, W, rng),), [[W]],
+            lambda rng: attach_marks(sample_poisson(UNIT, W, rng), [1], rng),
+            [[W]],
             500, Rng(1, 1),
         )
         assert rep.statistic == 0.0 and rep.p_value == 1.0
