@@ -279,6 +279,10 @@ class PointConfig:
         if (marks is None) != (mark_count is None):
             raise ValueError("marks and mark_count go together")
         if marks is not None:
+            if isinstance(mark_count, bool) or \
+                    not hasattr(type(mark_count), "__index__"):
+                raise TypeError("mark_count must be an integer")
+            mark_count = operator.index(mark_count)
             marks = np.array([operator.index(m) for m in marks], dtype=np.intp)
             if not (mark_count >= 1 and marks.size == len(pts)
                     and ((marks >= 0) & (marks < mark_count)).all()):
@@ -327,22 +331,16 @@ class PointConfig:
             object.__setattr__(self, "_points", tuple(pts))
         return self._points
 
-    def _subset(self, keep: np.ndarray, window: Window,
-                marked: bool = True) -> "PointConfig":
-        """The points where the boolean mask keep is set, in window, with
-        their marks unless marked is False."""
+    def _subset(self, keep: np.ndarray, window: Window) -> "PointConfig":
+        """The points where the boolean mask keep is set, in window."""
         if self._ks is None:
-            c = PointConfig(
+            return PointConfig(
                 tuple(p for p, k in zip(self.points, keep.tolist()) if k), window)
-        else:
-            ks, start = [], 0
-            for k in self._ks:
-                ks.append(k[keep[start:start + k.size]])
-                start += k.size
-            c = PointConfig._on_lattice(self._layout, ks, window)
-        if marked and self.marks is not None:
-            return c._marked(self.marks[keep], self.mark_count)
-        return c
+        ks, start = [], 0
+        for k in self._ks:
+            ks.append(k[keep[start:start + k.size]])
+            start += k.size
+        return PointConfig._on_lattice(self._layout, ks, window)
 
     def __len__(self) -> int:
         return self._len

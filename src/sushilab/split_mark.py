@@ -73,7 +73,7 @@ def project_mark_set(mc: PointConfig, B: Iterable[int]) -> PointConfig:
         if not 0 <= m < mc.mark_count:
             raise ValueError(f"mark {m} outside alphabet")
         keep[m] = True
-    return mc._subset(keep[mc.marks], mc.window, marked=False)
+    return mc._subset(keep[mc.marks], mc.window)
 
 
 def bernoulli_split(c: PointConfig, probs: Sequence[float], rng: Rng) -> list[PointConfig]:

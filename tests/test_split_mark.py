@@ -166,6 +166,10 @@ def test_marked_config_validation():
         PointConfig((), w, marks=(), mark_count=0)
     with pytest.raises(TypeError):
         PointConfig((F(0),), w, marks=(0.5,), mark_count=2)
+    for bad in (2.0, True, "2"):
+        with pytest.raises(TypeError, match="mark_count must be an integer"):
+            PointConfig((F(0),), w, marks=(0,), mark_count=bad)
+    assert PointConfig((F(0),), w, marks=(0,), mark_count=np.int64(2)).mark_count == 2
     with pytest.raises(ValueError, match="marked configuration"):
         project_mark_set(PointConfig((F(0),), w), {0})
 
@@ -188,6 +192,3 @@ def test_marks_are_labels_under_push_forward_and_superpose():
     assert count(both, w) == 3
     shared = superpose(mc, PointConfig((F(3),), w, marks=(0,), mark_count=3))
     assert shared.atoms == ((F(1), F(1)), (F(3), F(2)))
-    # separation thinning keeps the marks of the points it keeps
-    thinned = separation_thin(mc, F(1, 2))
-    assert thinned.marks.tolist() == [2, 1] and thinned.mark_count == 3
