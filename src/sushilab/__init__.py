@@ -44,6 +44,7 @@ from .dynamics import (
 from .point_process import (
     PointConfig,
     Rng,
+    Streams,
     WeightedConfig,
     count,
     count_replicates,
@@ -56,6 +57,8 @@ from .point_process import (
     superpose,
 )
 from .split_mark import (
+    LatticeSampler,
+    MarkLaw,
     attach_marks,
     bernoulli_split,
     project_mark_set,

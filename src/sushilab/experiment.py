@@ -6,8 +6,9 @@ of named checks.  run() validates everything before sampling, executes
 the battery on deterministic per-item streams, and emits a manifest whose
 content is a pure function of (spec, seed): rerunning reproduces every
 report byte for byte.  Wall time is the single manifest field excluded
-from that contract.  Replicates run serially; run() accepts ``threads``
-for compatibility only.
+from that contract.  The lattice constructions count blocks of replicates
+at once, the others one replicate at a time, on the same streams; run()
+accepts ``threads`` for compatibility only.
 
 Numbers in spec files use exact rational literals ("3/200") and window
 literals ("[0,1)+[2,3)") so configuration round-trips without float loss.
@@ -41,6 +42,7 @@ from .cluster import (
     unit_intensity_c,
 )
 from .dynamics import (
+    OrbitError,
     RankOneMachine,
     TransformHandle,
     Translation,
@@ -62,9 +64,8 @@ from .point_process import (
     dissociation_check,
     dump_csv,
     free_check,
-    sample_poisson,
 )
-from .split_mark import attach_marks, project_mark_set, separation_thin
+from .split_mark import LatticeSampler, MarkLaw, project_mark_set
 from .stats import (
     TestReport,
     cesaro_factorization,
@@ -286,8 +287,7 @@ def _build_plan(spec: ExperimentSpec) -> _Plan:
     T, alphaspec, W = spec.transformation, spec.intensity, spec.window
     kind, params = spec.construction, spec.params
     if kind == "poisson":
-        return _Plan(kind, T, alphaspec, W, W,
-                     lambda rng: sample_poisson(alphaspec, W, rng))
+        return _Plan(kind, T, alphaspec, W, W, LatticeSampler(alphaspec, W))
     if kind in ("split", "mark"):
         key, selector = ("probs", "component") if kind == "split" else \
             ("mark_probs", "mark")
@@ -299,8 +299,7 @@ def _build_plan(spec: ExperimentSpec) -> _Plan:
             raise ValueError(f"params.{key}: must be nonnegative, summing to 1")
         # a split is sampled as its marking, with bernoulli_split's draws
         return _Plan(kind, T, alphaspec, W, W,
-                     lambda rng: attach_marks(sample_poisson(alphaspec, W, rng),
-                                              probs, rng),
+                     LatticeSampler(alphaspec, W, marks=MarkLaw(probs)),
                      probs=probs, selector=selector)
     if kind == "thin":
         kappa = as_rat(params.get("kappa", 1))
@@ -311,11 +310,8 @@ def _build_plan(spec: ExperimentSpec) -> _Plan:
             raise ValueError(
                 "window: lacks the kappa-buffer (shrunk core is empty)"
             )
-        return _Plan(
-            kind, T, alphaspec, W, core,
-            lambda rng: separation_thin(sample_poisson(alphaspec, W, rng), kappa),
-            kappa=kappa,
-        )
+        return _Plan(kind, T, alphaspec, W, core,
+                     LatticeSampler(alphaspec, W, kappa=kappa), kappa=kappa)
     if kind in ("sushi", "id"):
         law = parse_law(params.get("law", ()))
         if as_rat(params.get("gamma", 0)) != 0:
@@ -380,8 +376,8 @@ def _check_selectors(plan: _Plan, item: Mapping, at: str) -> None:
     """The components, marks, windows and samplers an item names exist: a
     counting test needs ``component`` on a split and allows ``mark`` on a
     mark construction; ``pair`` and ``groupings`` index components or
-    marks, cesaro ``K`` its windows; every window it counts in lies in the
-    observed window."""
+    marks, cesaro ``K`` its windows; every window it counts in, cesaro's
+    shifted windows included, lies in the observed window."""
     test, n = item["test"], len(plan.probs or ())
     texts = [(key, item[key]) for key in ("window", "A", "B") if key in item]
     if test == "mixed_moment":
@@ -420,6 +416,25 @@ def _check_selectors(plan: _Plan, item: Mapping, at: str) -> None:
             what = {"pair": "two integers", "K": "a list of integers"}
             raise ValueError(f"{at}.{key}: must be "
                              f"{what.get(key, 'an integer')} in [0, {bound})")
+    if test == "cesaro":
+        _check_cesaro_shifts(plan, item, f"{at}.windows")
+
+
+def _check_cesaro_shifts(plan: _Plan, item: Mapping, at: str) -> None:
+    """The windows T^-k A, k = 1..L, that cesaro counts for each of its
+    windows A outside K exist and lie in the observed window."""
+    K, L = set(item.get("K", [0])), item.get("L", 16)
+    for i, A in enumerate(_parse_windows(item["windows"])):
+        if i in K:
+            continue
+        for k in range(1, L + 1):
+            try:
+                B = plan.T.image_window(A, -k)
+            except OrbitError as exc:
+                raise ValueError(f"{at}: {exc}") from exc
+            if not plan.observed.covers(B):
+                raise ValueError(f"{at}: T^-{k} {A} = {B} exceeds observed "
+                                 f"window {plan.observed}")
 
 
 def _item_counts(plan, spec, item, rng) -> tuple[Window, int, np.ndarray]:
@@ -724,8 +739,8 @@ def run(spec: ExperimentSpec, threads: int = 1, out_dir=None,
     Battery item i draws from the dedicated stream Rng(seed, i + 1), so
     items are independent and insertion-order stable.  exit_status is 0
     iff every must_pass item met its expectation ("pass" by default;
-    counterexample items declare expect="reject").  Replicates run
-    serially; ``threads`` is accepted for compatibility and has no effect.
+    counterexample items declare expect="reject").  ``threads`` is accepted
+    for compatibility and has no effect.
     """
     start = time.monotonic()
     plan = _build_plan(spec)

@@ -12,7 +12,10 @@ diagonal through dyadic refinements.
 
 Every estimate here reads one replicate x column count matrix
 (:func:`count_matrix`, one :func:`~sushilab.point_process.counts` row per
-replicate) and takes its products and sums with numpy, left to right.
+replicate) and takes its products and sums with numpy, left to right.  A
+sampler that counts whole blocks of replicates at once (a
+:class:`~sushilab.split_mark.LatticeSampler`) fills the matrix block by
+block, with the same rows.
 """
 
 from __future__ import annotations
@@ -134,9 +137,8 @@ def replicate_matrix(sampler: Sampler, evaluate: Callable[[object], Sequence[flo
     """R x width matrix of per-replicate statistics.
 
     Replicate r is a pure function of rng.child(r) and lands in row r.
-    Replicates run serially: the per-replicate work is pure-Python exact
-    arithmetic, which threads only slow down.  ``threads`` is accepted for
-    compatibility and has no effect.
+    Replicates run serially, one sample at a time.  ``threads`` is accepted
+    for compatibility and has no effect.
     """
     out = np.empty((R, width), dtype=np.float64)
     for r in range(R):
@@ -144,11 +146,32 @@ def replicate_matrix(sampler: Sampler, evaluate: Callable[[object], Sequence[flo
     return out
 
 
-def count_matrix(sampler: Sampler, columns, R: int, rng: Rng) -> np.ndarray:
+def count_matrix(sampler: Sampler, columns, R: int, rng: Rng,
+                 summarize: Callable[[np.ndarray], np.ndarray] | None = None
+                 ) -> np.ndarray:
     """R x len(columns) matrix of exact counts: row r holds
-    ``counts(sample, columns)`` of the sample drawn from rng.child(r)."""
+    ``counts(sample, columns)`` of the sample drawn from rng.child(r).
+
+    A sampler with ``count_blocks`` counts the replicates block by block,
+    from :class:`~sushilab.point_process.Streams` of rng; any other is
+    called once per replicate.  summarize, if given, maps each block of
+    count rows to one row of statistics per replicate, and the matrix of
+    those is returned instead, so only they are kept.
+    """
     cols = Columns(columns)
-    return replicate_matrix(sampler, lambda s: counts(s, cols), len(cols), R, rng)
+    keep = summarize or (lambda block: block)
+    if not hasattr(sampler, "count_blocks") or R == 0:
+        width = keep(np.zeros((1, len(cols)))).shape[1]
+        return replicate_matrix(sampler, lambda s: keep(counts(s, cols)[None])[0],
+                                width, R, rng)
+    out, lo = None, 0
+    for block in sampler.count_blocks(rng, R, cols):
+        block = keep(block)
+        if out is None:
+            out = np.empty((R, block.shape[1]), dtype=np.float64)
+        out[lo:lo + len(block)] = block
+        lo += len(block)
+    return out
 
 
 def _products(mat: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
@@ -344,8 +367,8 @@ def diagonal_weight(sampler: Sampler, A: Window, n: int, depth: int, R: int,
     Cells are the 2^depth equal-length pieces of A in cumulative-length
     order (cells may straddle part boundaries of a multi-part A), and the
     coarser levels' unions of them.  Each replicate counts every cell of
-    every level exactly and keeps only the depth + 1 sums over occupied
-    cells, so memory is R x (depth + 1).
+    every level exactly and keeps only the depth + 1 sums of N^n, added
+    left to right, so memory is R x (depth + 1).
     """
     if not 1 <= n <= MAX_ESTIMATION_N:
         raise ValueError(f"n must be in 1..{MAX_ESTIMATION_N}")
@@ -353,14 +376,16 @@ def diagonal_weight(sampler: Sampler, A: Window, n: int, depth: int, R: int,
         raise ValueError("depth must be in 0..12")
     if A.length <= 0:
         raise ValueError("window must have positive length")
-    cells = Columns([(None, w) for w in _dyadic_cells(A, depth)])
+    cells = [(None, w) for w in _dyadic_cells(A, depth)]
 
-    def evaluate(sample) -> list[float]:
-        row = counts(sample, cells)
-        levels = (row[(1 << d) - 1:(2 << d) - 1] for d in range(depth + 1))
-        return [sum(m ** n for m in lv[lv != 0].tolist()) for lv in levels]
+    def level_sums(block: np.ndarray) -> np.ndarray:
+        if block.dtype.kind == "f":  # weighted counts: Python float powers
+            block = block.astype(object)
+        return np.column_stack(
+            [np.cumsum(block[:, (1 << d) - 1:(2 << d) - 1] ** n, axis=1)[:, -1]
+             for d in range(depth + 1)])
 
-    mat = replicate_matrix(sampler, evaluate, depth + 1, R, rng)
+    mat = count_matrix(sampler, cells, R, rng, summarize=level_sums)
     means = mat.mean(axis=0)
     ses = mat.std(axis=0, ddof=1) / math.sqrt(R)
     return DiagonalWeightResult(

@@ -26,9 +26,17 @@ frame ranks every edge among the points, and a table of cumulative mark
 counts reads each mark's count at those ranks; :func:`count` is its
 one-column case.
 
+:class:`Streams` gives the raw PCG64 words of the child streams
+``rng.child(r)`` of many replicates at once, bit-identical to numpy's: a
+uniform is the top 53 bits of a word times 2**-53 and a grid index its top
+53 bits.  A block of replicates is sampled from them as arrays, each
+replicate reading its own stream in the draw order above, and counted with
+the same edge thresholds, so its counts are those of one
+:func:`sample_poisson` per replicate.
+
 The count-only replication layer (:func:`count_replicates`) reuses the same
-inversion, vectorized over fixed-size chunks of derived streams, so parallel
-schedules cannot change any result.
+inversion, vectorized over fixed-size chunks of derived streams; its output
+is a pure function of the rng address and the chunk size.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ from .windows import IntensitySpec, RatLike, Window, format_rat
 
 __all__ = [
     "Rng",
+    "Streams",
     "PointConfig",
     "WeightedConfig",
     "Config",
@@ -160,6 +169,145 @@ class Rng:
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, stream_id={self.stream_id})"
+
+
+# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe), and the
+# PCG64 multiplier
+_U32, _U64 = np.uint32, np.uint64
+_LO32, _SH32 = _U64(0xFFFFFFFF), _U64(32)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_steps(init: int, mult: int, n: int) -> list[tuple]:
+    """The (xor, multiplier) pair of each of n hashmix calls: the hash
+    constant evolves alike for every stream."""
+    out, h = [], init
+    for _ in range(n):
+        nxt = (h * mult) & 0xFFFFFFFF
+        out.append((_U32(h), _U32(nxt)))
+        h = nxt
+    return out
+
+
+_POOL_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
+_STATE_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(v: np.ndarray, step: tuple) -> np.ndarray:
+    v = (v ^ step[0]) * step[1]
+    return v ^ (v >> _U32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _U32(0xCA01F9DD) * x - _U32(0x4973F715) * y
+    return r ^ (r >> _U32(16))
+
+
+def _mulhi(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products x * y, from 32-bit halves."""
+    x0, x1, y0, y1 = x & _LO32, x >> _SH32, y & _LO32, y >> _SH32
+    p01, p10 = x0 * y1, x1 * y0
+    mid = ((x0 * y0) >> _SH32) + (p01 & _LO32) + (p10 & _LO32)
+    return x1 * y1 + (p01 >> _SH32) + (p10 >> _SH32) + (mid >> _SH32)
+
+
+def _mul128(a: tuple, b: tuple) -> tuple:
+    """a * b mod 2**128 for (hi, lo) pairs of uint64 arrays."""
+    return _mulhi(a[1], b[1]) + a[0] * b[1] + a[1] * b[0], a[1] * b[1]
+
+
+def _add128(a: tuple, b: tuple) -> tuple:
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < a[1]), lo
+
+
+def _pairs(xs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit integers as (hi, lo) uint64 arrays."""
+    return (np.array([x >> 64 for x in xs], dtype=np.uint64),
+            np.array([x & _MASK64 for x in xs], dtype=np.uint64))
+
+
+@lru_cache(maxsize=None)
+def _jumps(bits: int) -> tuple:
+    """Jump-ahead pairs for k < 2**bits steps: k PCG64 steps take state s
+    to M**k * s + c_k * inc, with c_k = 1 + M + ... + M**(k-1)."""
+    ms, cs, m, c = [], [], 1, 0
+    for _ in range(1 << bits):
+        ms.append(m)
+        cs.append(c)
+        m, c = (m * _PCG_MULT) & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+    return _pairs(ms), _pairs(cs)
+
+
+class Streams:
+    """The raw PCG64 words of ``rng.child(r)`` for r = start..stop-1, as
+    arrays; row i is replicate start + i.
+
+    Each stream is seeded as numpy seeds ``PCG64(SeedSequence((seed,
+    sid)))``: child ids by splitmix64, the 4-word SeedSequence pool mixed in
+    uint32 arithmetic, and the PCG64 state held as uint64 (hi, lo) pairs.
+    Word k of a stream is one multiply-add, ``M**(k+1) * s + c_(k+1) *
+    inc``, from the stream's seeded state s, so any words of any streams
+    are drawn at once, bit-identical to numpy's ``random_raw`` of
+    ``rng.child(r)``.
+    """
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, rng: Rng, stop: int, start: int = 0) -> None:
+        ids = np.arange(start + 1, stop + 1, dtype=np.uint64) * _U64(_GOLDEN)
+        R = ids.size
+        z = ids + _U64(rng.stream_id) + _U64(_GOLDEN)  # splitmix64, as child
+        z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+        sid = z ^ (z >> _U64(31))
+        # SeedSequence's 4-word pool: [seed, sid] as uint32 words, zero
+        # padded; a zero pad word hashes like an absent one
+        seed = [rng.seed & 0xFFFFFFFF, rng.seed >> 32] if rng.seed >> 32 else \
+            [rng.seed]
+        pool = [np.full(R, w, dtype=np.uint32) for w in seed]
+        pool += [(sid & _LO32).astype(np.uint32), (sid >> _SH32).astype(np.uint32)]
+        pool += [np.zeros(R, dtype=np.uint32)] * (4 - len(pool))
+        steps = iter(_POOL_STEPS)
+        pool = [_hashmix(w, next(steps)) for w in pool]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(steps)))
+        w = [_hashmix(pool[i % 4], step).astype(np.uint64)
+             for i, step in enumerate(_STATE_STEPS)]
+        s_hi, s_lo, q_hi, q_lo = (w[2 * j] | (w[2 * j + 1] << _SH32) for j in range(4))
+        # PCG64 seeding: inc = 2q + 1, state = (inc + s) * M + inc
+        inc = ((q_hi << _U64(1)) | (q_lo >> _U64(63)), (q_lo << _U64(1)) | _U64(1))
+        mult = (_U64(_PCG_MULT >> 64), _U64(_PCG_MULT & _MASK64))
+        self._state = _add128(_mul128(_add128(inc, (s_hi, s_lo)), mult), inc)
+        self._inc = inc
+
+    def __len__(self) -> int:
+        return self._inc[0].size
+
+    def words(self, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Word k (from 0) of stream rows, elementwise, as uint64."""
+        rows, k = np.broadcast_arrays(rows, np.asarray(k) + 1)
+        m, c = _jumps(max(6, int(k.max(initial=0)).bit_length()))
+        s = (self._state[0][rows], self._state[1][rows])
+        inc = (self._inc[0][rows], self._inc[1][rows])
+        hi, lo = _add128(_mul128((m[0][k], m[1][k]), s),
+                         _mul128((c[0][k], c[1][k]), inc))
+        v, r = hi ^ lo, hi >> _U64(58)  # XSL-RR output
+        return (v >> r) | (v << ((_U64(64) - r) & _U64(63)))
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """numpy's ``random()`` of raw words: their top 53 bits times 2**-53."""
+    return (raw >> _U64(11)) * (1.0 / _GRID)
+
+
+def _grid_index(raw: np.ndarray) -> np.ndarray:
+    """numpy's ``integers(0, 2**53)`` of raw words: Lemire's method never
+    rejects for a power-of-two range and keeps the top 53 bits."""
+    return raw >> _U64(11)
 
 
 class _Frame:
@@ -533,11 +681,14 @@ class Columns:
         return len(self.windows)
 
     def totals(self, per_part: np.ndarray) -> np.ndarray:
-        """Per window, the sum over its parts of the integers per_part."""
+        """Per window, the sum over its parts of the integers per_part, along
+        its last axis."""
         if self._bounds is None:  # one part per window
             return per_part
-        run = np.concatenate(([0], np.cumsum(per_part)))
-        return run[self._bounds[1]] - run[self._bounds[0]]
+        run = np.cumsum(per_part, axis=-1)
+        run = np.concatenate((np.zeros(run.shape[:-1] + (1,), run.dtype), run),
+                             axis=-1)
+        return run[..., self._bounds[1]] - run[..., self._bounds[0]]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -550,6 +701,17 @@ def _uncovered(window: Window, columns: Columns) -> Window | None:
     """The first window of columns that window does not cover, or None."""
     return next((A for A in columns.windows if not A.difference(window).is_empty),
                 None)
+
+
+def _check_columns(window: Window, mark_count: int | None,
+                   columns: Columns) -> None:
+    """Refuse columns that reach beyond window or name a mark not in
+    0..mark_count-1."""
+    A = _uncovered(window, columns)
+    if A is not None:
+        raise ValueError(f"window {A} exceeds observed window {window}")
+    if columns.top >= (mark_count or 0):
+        raise ValueError(f"column selector {columns.top} names no component or mark")
 
 
 def _ranks(c: Config, columns: Columns) -> np.ndarray:
@@ -608,11 +770,7 @@ def _gaps_above(c: PointConfig, kappa: Fraction) -> np.ndarray:
 def _exact_counts(c: Config, columns: Columns) -> np.ndarray:
     """N(A) for each column (j, A) of columns: point counts as int64, or a
     list of exact Fraction weights for a weighted configuration."""
-    A = _uncovered(c.window, columns)
-    if A is not None:
-        raise ValueError(f"window {A} exceeds observed window {c.window}")
-    if columns.top >= (getattr(c, "mark_count", None) or 0):
-        raise ValueError(f"column selector {columns.top} names no component or mark")
+    _check_columns(c.window, getattr(c, "mark_count", None), columns)
     rank = _ranks(c, columns)
     if isinstance(c, WeightedConfig):
         r = rank.tolist()
@@ -645,6 +803,112 @@ def count(c: Config, A: Window):
     weighted configuration."""
     n = _exact_counts(c, _one_column(A))[0]
     return Fraction(n) if isinstance(c, WeightedConfig) else int(n)
+
+
+# ---------------------------------------------------------------------------
+# batched replicates: the replicates of a Streams drawn and counted at once,
+# each consuming its stream word for word as the serial sampler does
+
+# Bound of one block of replicates, in raw words and count-table entries: a
+# constant, so that peak memory does not grow with the number of replicates.
+BLOCK_WORDS = 1 << 13
+
+
+@dataclass(slots=True)
+class _Batch:
+    """The samples of the rows of streams on one layout, flat in point
+    order: row by row, frame by frame, sorted in a frame.  Per point: its
+    row, its frame and grid index, and its mark once marked.  ``used[i]`` is
+    the next word of row i's stream.  A row in ``redo`` drew coincident
+    points; its points are dropped, and it is left to the serial sampler."""
+
+    streams: Streams
+    layout: _Layout
+    window: Window
+    row: np.ndarray
+    frame: np.ndarray
+    ks: np.ndarray
+    used: np.ndarray
+    redo: np.ndarray
+    marks: np.ndarray | None = None
+    mark_count: int | None = None
+
+
+def _rank_in_row(row: np.ndarray, n: int) -> np.ndarray:
+    """Per point, its index among the points of its row; rows ascend."""
+    per_row = np.bincount(row, minlength=n)
+    return np.arange(row.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+
+
+def _sort_runs(ks: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """ks sorted within each run of equal seg, for seg ascending.  Grid
+    indices leave 11 bits free, so 2**11 runs at a time sort as one uint64
+    key, the run above the index."""
+    out, step = np.empty_like(ks), 1 << (64 - DYADIC_BITS)
+    runs = int(seg[-1]) + 1 if seg.size else 0
+    for first in range(0, runs, step):
+        lo, hi = seg.searchsorted([first, first + step])
+        run = (seg[lo:hi] - first).astype(np.uint64)
+        out[lo:hi] = np.sort((run << _U64(DYADIC_BITS)) | ks[lo:hi]) & _U64(_GRID - 1)
+    return out
+
+
+def _poisson_batch(intensity: IntensitySpec, window: Window,
+                   streams: Streams) -> _Batch:
+    """:func:`sample_poisson` of every row of streams: one count word per
+    frame, then the position words, sorted per (row, frame)."""
+    alpha = intensity.alpha
+    layout = _layout(alpha.numerator, alpha.denominator, window)
+    nf, n = len(layout.frames), len(streams)
+    us = _uniforms(streams.words(np.arange(n)[:, None], np.arange(nf)))
+    sizes = np.empty((n, nf), dtype=np.int64)
+    for f, lam in enumerate(layout.means):
+        sizes[:, f] = poisson_cdf_table(lam).searchsorted(us[:, f], side="left")
+    row = np.repeat(np.arange(n), sizes.sum(axis=1))
+    frame = np.repeat(np.tile(np.arange(nf), n), sizes.ravel())
+    ks = _grid_index(streams.words(row, nf + _rank_in_row(row, n)))
+    seg = row * nf + frame
+    ks = _sort_runs(ks, seg)
+    redo = np.zeros(n, dtype=bool)
+    redo[row[1:][(ks[1:] == ks[:-1]) & (seg[1:] == seg[:-1])]] = True
+    if redo.any():
+        keep = ~redo[row]
+        row, frame, ks = row[keep], frame[keep], ks[keep]
+    return _Batch(streams=streams, layout=layout, window=window,
+                  row=row, frame=frame, ks=ks, used=nf + sizes.sum(axis=1),
+                  redo=redo)
+
+
+def _frames_of(b: _Batch):
+    """(frame, selector of its points) for each frame of b's layout."""
+    if len(b.layout.frames) == 1:
+        return [(b.layout.frames[0], slice(None))]
+    return [(frame, b.frame == f) for f, frame in enumerate(b.layout.frames)]
+
+
+def _batch_counts(b: _Batch, columns: Columns) -> np.ndarray:
+    """:func:`counts` of every row of b, as int64 rows; rows in ``b.redo``
+    are left to the caller.
+
+    Per frame, the distinct edge thresholds cut the grid into bins; a table
+    of points per (row, mark, bin), cumulated over bins, gives each edge's
+    rank, as ``searchsorted`` and the mark table give it for one sample.
+    """
+    _check_columns(b.window, b.mark_count, columns)
+    n, marked = b.used.size, columns.rows is not None
+    m = b.mark_count if marked else 0  # slot m counts every mark
+    rank = np.zeros((n, len(columns.edges)), dtype=np.int64)
+    for frame, at in _frames_of(b):
+        cuts, where = np.unique(frame.cuts(columns), return_inverse=True)
+        slot = b.row[at] * (m + 1) + (b.marks[at] if marked else 0)
+        key = slot * (cuts.size + 1) + cuts.searchsorted(b.ks[at], side="right")
+        table = np.bincount(key, minlength=n * (m + 1) * (cuts.size + 1))
+        table = table.reshape(n, m + 1, cuts.size + 1)
+        if marked:
+            table[:, m] = table[:, :m].sum(axis=1)
+        # cumulated up to bin i, the table counts the points below cuts[i]
+        rank += table.cumsum(axis=2)[:, columns.rows if marked else 0, where]
+    return columns.totals(rank[:, 1::2] - rank[:, ::2])
 
 
 def free_check(c: PointConfig, T: TransformHandle, K: int,

@@ -14,30 +14,48 @@ every side, otherwise edge points have unobservable neighbors and the thin
 is not well defined.  On a lattice, two points of one frame lie at most
 kappa apart exactly when their index gap is at most
 ``floor(kappa * 2**53 / width)``.
+
+:class:`LatticeSampler` is a Poisson sample, marked or thinned, that also
+counts whole blocks of replicates at once with the same draws.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .point_process import (
     _CACHE_SIZE,
+    BLOCK_WORDS,
+    Columns,
     PointConfig,
     Rng,
+    Streams,
+    _Batch,
+    _batch_counts,
+    _frames_of,
     _gaps_above,
+    _layout,
+    _one_column,
+    _poisson_batch,
+    _rank_in_row,
+    _uniforms,
     _window_mask,
+    counts,
+    sample_poisson,
 )
-from .windows import RatLike, Window, as_rat
+from .windows import IntensitySpec, RatLike, Window, as_rat
 
 __all__ = [
+    "MarkLaw",
     "attach_marks",
     "project_mark_set",
     "bernoulli_split",
     "separation_thin",
+    "LatticeSampler",
 ]
 
 
@@ -50,18 +68,31 @@ def _validate_probs(probs: Sequence[float]) -> np.ndarray:
     return arr
 
 
-def _draw_marks(probs: np.ndarray, n: int, rng: Rng) -> np.ndarray:
-    """n i.i.d. marks with law probs: one uniform per point, in point order."""
-    us = rng.random_block(n)
-    return np.minimum(np.searchsorted(np.cumsum(probs), us, side="right"),
-                      len(probs) - 1)
+class MarkLaw:
+    """A mark law, checked once: its mark count and the float cumulative
+    thresholds (a float ``cumsum`` of the probabilities) that each point's
+    uniform is compared with."""
+
+    __slots__ = ("count", "cum")
+
+    def __init__(self, probs: Sequence[float]) -> None:
+        arr = _validate_probs(probs)
+        self.count = arr.size
+        self.cum = np.cumsum(arr)
+        self.cum.flags.writeable = False
 
 
-def attach_marks(c: PointConfig, mark_probs: Sequence[float], rng: Rng) -> PointConfig:
+def _draw_marks(law: MarkLaw, us: np.ndarray) -> np.ndarray:
+    """The marks of the uniforms us, one per point, in point order."""
+    return np.minimum(np.searchsorted(law.cum, us, side="right"), law.count - 1)
+
+
+def attach_marks(c: PointConfig, mark_probs: MarkLaw | Sequence[float],
+                 rng: Rng) -> PointConfig:
     """The points of c with i.i.d. marks of law mark_probs, marks
     0..len(mark_probs)-1; one uniform per point, in point order."""
-    probs = _validate_probs(mark_probs)
-    return c._marked(_draw_marks(probs, len(c), rng), len(probs))
+    law = mark_probs if isinstance(mark_probs, MarkLaw) else MarkLaw(mark_probs)
+    return c._marked(_draw_marks(law, rng.random_block(len(c))), law.count)
 
 
 def project_mark_set(mc: PointConfig, B: Iterable[int]) -> PointConfig:
@@ -115,3 +146,92 @@ def separation_thin(c: PointConfig, kappa: RatLike) -> PointConfig:
 def _core(window: Window, kappa_num: int, kappa_den: int) -> Window:
     """window shrunk by kappa, shared by every replicate thinned alike."""
     return window.shrink(Fraction(kappa_num, kappa_den))
+
+
+def _mark_batch(b: _Batch, law: MarkLaw) -> _Batch:
+    """:func:`attach_marks` of every row of b: one word per point, after the
+    row's words so far."""
+    n = b.used.size
+    words = b.streams.words(b.row, b.used[b.row] + _rank_in_row(b.row, n))
+    b.marks, b.mark_count = _draw_marks(law, _uniforms(words)), law.count
+    b.used = b.used + np.bincount(b.row, minlength=n)
+    return b
+
+
+def _thin_batch(b: _Batch, kappa: Fraction) -> _Batch:
+    """:func:`separation_thin` of every row of b: index gaps in a frame,
+    exact Fractions across frames, no neighbour across rows."""
+    core = _core(b.window, kappa.numerator, kappa.denominator)
+    keep = np.empty(b.ks.size, dtype=bool)
+    for frame, at in _frames_of(b):
+        # inside a part of the core: an odd number of its edges at or below
+        cuts = frame.cuts(_one_column(core))
+        keep[at] = cuts.searchsorted(b.ks[at], side="right") % 2 == 1
+    frames = b.layout.frames
+    bounds = np.array([f.gap_bound(kappa) for f in frames], dtype=np.uint64)
+    same_row = b.row[1:] == b.row[:-1]
+    same_frame = same_row & (b.frame[1:] == b.frame[:-1])
+    apart = ~same_row | ((b.ks[1:] - b.ks[:-1]) > bounds[b.frame[1:]])
+    for i in np.flatnonzero(same_row & ~same_frame).tolist():
+        lo, hi = frames[b.frame[i]], frames[b.frame[i + 1]]
+        gap = hi.points(b.ks[i + 1:i + 2])[0] - lo.points(b.ks[i:i + 1])[0]
+        apart[i] = gap > kappa
+    keep[1:] &= apart
+    keep[:-1] &= apart
+    b.row, b.frame, b.ks, b.window = b.row[keep], b.frame[keep], b.ks[keep], core
+    return b
+
+
+class LatticeSampler:
+    """Poisson points on a window, then marked with a :class:`MarkLaw` or
+    separation-thinned by kappa (or neither).
+
+    Called with an Rng, it draws one sample.  :meth:`count_blocks` counts
+    R replicates block by block, replicate r drawing the words of
+    ``rng.child(r)`` from :class:`~sushilab.point_process.Streams` in the
+    order a call with ``rng.child(r)`` draws them: its frame counts, then
+    its positions, then its marks.  A replicate whose positions coincide is
+    drawn by a call, which resamples as
+    :func:`~sushilab.point_process.sample_poisson` does.
+    """
+
+    def __init__(self, intensity: IntensitySpec, window: Window,
+                 marks: MarkLaw | None = None, kappa: Fraction | None = None) -> None:
+        if marks is not None and kappa is not None:
+            raise ValueError("a lattice sampler marks or thins, not both")
+        self.intensity, self.window = intensity, window
+        self.marks, self.kappa = marks, kappa
+        alpha = intensity.alpha
+        frames = len(_layout(alpha.numerator, alpha.denominator, window).frames)
+        # a replicate's expected words, and its count-table entries per
+        # column edge: an entry takes about an eighth of the temporaries of
+        # a word
+        self._words = frames + (1 + (marks is not None)) * float(alpha * window.length)
+        self._slots = frames * (1 + (marks.count if marks else 0)) / 8
+
+    def __call__(self, rng: Rng) -> PointConfig:
+        c = sample_poisson(self.intensity, self.window, rng)
+        if self.marks is not None:
+            return attach_marks(c, self.marks, rng)
+        if self.kappa is not None:
+            return separation_thin(c, self.kappa)
+        return c
+
+    def count_blocks(self, rng: Rng, R: int,
+                     columns: Columns) -> Iterator[np.ndarray]:
+        """``counts(sample, columns)`` of the sample of each replicate
+        ``rng.child(r)``, r < R, as int64 rows, in blocks of about
+        BLOCK_WORDS words."""
+        cost = self._words + self._slots * len(columns.edges)
+        step = max(1, int(BLOCK_WORDS // cost))
+        for lo in range(0, R, step):
+            b = _poisson_batch(self.intensity, self.window,
+                               Streams(rng, min(lo + step, R), lo))
+            if self.marks is not None:
+                b = _mark_batch(b, self.marks)
+            if self.kappa is not None:
+                b = _thin_batch(b, self.kappa)
+            block = _batch_counts(b, columns)
+            for i in np.flatnonzero(b.redo).tolist():
+                block[i] = counts(self(rng.child(lo + i)), columns)
+            yield block

@@ -137,7 +137,7 @@ class TestSpecParsing:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the spec was validated")
 
-        monkeypatch.setattr(experiment, "sample_poisson", no_sampling)
+        monkeypatch.setattr(experiment, "Rng", no_sampling)
         d = minimal_spec(battery=[{"test": "intensity"},
                                   {"test": "intensity", "window": "0..1"}])
         with pytest.raises(ValueError, match=re.escape(
@@ -160,7 +160,7 @@ class TestSpecParsing:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the spec was validated")
 
-        monkeypatch.setattr(experiment, "sample_poisson", no_sampling)
+        monkeypatch.setattr(experiment, "Rng", no_sampling)
         monkeypatch.setattr(cluster, "sample_poisson", no_sampling)
         d = minimal_spec(construction=construction, params=params,
                          battery=[{"test": "intensity"}, {"test": test}])
@@ -222,7 +222,7 @@ class TestSpecParsing:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the spec was validated")
 
-        monkeypatch.setattr(experiment, "sample_poisson", no_sampling)
+        monkeypatch.setattr(experiment, "Rng", no_sampling)
         d = minimal_spec(battery=[{"test": "intensity"},
                                   {"test": "diagonal_weight", "depth": 13}])
         with pytest.raises(ValueError, match=re.escape("battery[1].depth")):
@@ -260,9 +260,30 @@ class TestSpecParsing:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the spec was validated")
 
-        monkeypatch.setattr(experiment, "sample_poisson", no_sampling)
+        monkeypatch.setattr(experiment, "Rng", no_sampling)
         monkeypatch.setattr(experiment, "count_replicates", no_sampling)
         d = minimal_spec(construction=construction, params=params,
+                         battery=[{"test": "intensity"}, item])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(ExperimentSpec.from_dict(d))
+
+    @pytest.mark.parametrize("transformation,item,message", [
+        ("translation",
+         {"test": "cesaro", "windows": ["[0,1)", "[0,1)"], "K": [0], "L": 2},
+         "battery[1].windows: T^-1 [0,1) = [-1,0) exceeds observed window [0,4)"),
+        ("infinite-chacon",
+         {"test": "cesaro", "windows": ["[1,2)", "[1,2)"], "K": [0], "L": 8},
+         "battery[1].windows: T^-3 undefined at 1"),
+    ])
+    def test_cesaro_shifted_windows_checked_before_sampling(
+            self, monkeypatch, transformation, item, message):
+        from sushilab import experiment
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the spec was validated")
+
+        monkeypatch.setattr(experiment, "Rng", no_sampling)
+        d = minimal_spec(transformation=transformation,
                          battery=[{"test": "intensity"}, item])
         with pytest.raises(ValueError, match=re.escape(message)):
             run(ExperimentSpec.from_dict(d))

@@ -1,9 +1,9 @@
 """The shipped preset batteries, and two rank-one specs, reproduce their
-recorded manifests bit for bit.
+recorded manifests bit for bit, and three presets their raw artifacts.
 
-A hash is the first 12 hex digits of the sha256 of the manifest without its
-wall time, as JSON with sorted keys.  Any change to the draw order, to a
-sampler or to a statistic moves it.
+A manifest hash is the first 12 hex digits of the sha256 of the manifest
+without its wall time, as JSON with sorted keys.  Any change to the draw
+order, to a sampler or to a statistic moves it.
 """
 
 import hashlib
@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from sushilab.cli import main
 from sushilab.experiment import ExperimentSpec, preset_spec, run
 
 GOLDEN_MANIFEST = {
@@ -78,3 +79,26 @@ def test_preset_manifest_hash(name):
 def test_chacon3_manifest_hash(name):
     d, digest = CHACON3_SPECS[name]
     assert manifest_hash(ExperimentSpec.from_dict(d)) == digest
+
+
+# First 12 hex digits of the sha256 of the bytes of every file under raw/
+# and reports/ of ``sushi-lab run <preset> --out DIR --raw``, in sorted path
+# order.  The raw files hold every replicate's counts, which the manifest
+# only summarizes.
+GOLDEN_RAW_ARTIFACTS = {
+    "splitting-independence": "10acb35793c3",
+    "thinning-counterexample": "9bb57a28d597",
+    "moment-decomposition": "d06bf1458e39",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RAW_ARTIFACTS))
+def test_preset_raw_artifact_hash(name, tmp_path, capsys):
+    out = tmp_path / name
+    assert main(["run", name, "--out", str(out), "--raw"]) == 0
+    files = sorted(p for sub in ("raw", "reports")
+                   for p in (out / sub).rglob("*") if p.is_file())
+    h = hashlib.sha256()
+    for p in files:
+        h.update(p.read_bytes())
+    assert h.hexdigest()[:12] == GOLDEN_RAW_ARTIFACTS[name]
