@@ -45,7 +45,6 @@ from .point_process import (
     PointConfig,
     Rng,
     Streams,
-    WeightedConfig,
     count,
     count_replicates,
     counts,

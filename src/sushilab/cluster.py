@@ -4,14 +4,18 @@ A cluster law is a finite catalog of finitely supported weight sequences
 ``{a_k}`` with selection probabilities.  A realization places a Poisson
 ground configuration and hangs, on each ground point x, the atoms
 ``(T^k x, a_k)`` of an independently chosen catalog entry; the observable
-is the resulting weighted measure restricted to a core window.
+is the resulting weighted measure restricted to a core window, a
+:class:`~sushilab.point_process.PointConfig` with weights.
 
 Two samplers produce this law.  :func:`sample_sushi` is the direct route:
-one marked ground process.  :func:`sample_id_measure` goes through the
-Poisson-integral representation of an infinitely divisible measure: one
-independent Poisson ground per catalog entry, thinned by the entry
-probability, then integrated.  The two routes are equal in distribution,
-and the test battery checks exactly that.
+its ground is a Poisson sample marked by catalog entry, with i.i.d. marks
+independent of the points (Kingman's marking theorem, *Poisson Processes*,
+1993, ch. 5), drawn by :func:`~sushilab.split_mark.attach_marks` with the
+law's :class:`~sushilab.split_mark.MarkLaw`.  :func:`sample_id_measure`
+goes through the Poisson-integral representation of an infinitely
+divisible measure: one independent Poisson ground per catalog entry,
+thinned by the entry probability, then integrated.  The two routes are
+equal in distribution, and the test battery checks exactly that.
 
 The orbit coding pairs every realization made of whole clusters with a
 canonical list of (origin, relative weights): the origin is the earliest
@@ -23,13 +27,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .dynamics import DEFAULT_MAX_STAGE, OrbitError, TransformHandle
-from .point_process import PointConfig, Rng, WeightedConfig, sample_poisson
+from .point_process import PointConfig, Rng, sample_poisson
+from .split_mark import MarkLaw, attach_marks
 from .windows import EMPTY, IntensitySpec, RatLike, Window, as_rat
 
 __all__ = [
@@ -79,7 +82,8 @@ class ClusterEntry:
 
 @dataclass(frozen=True)
 class ClusterLaw:
-    """Finite catalog of weight sequences; probabilities sum to one exactly."""
+    """Finite catalog of weight sequences; probabilities sum to one exactly.
+    ``marks`` is the law of a ground point's catalog entry, as a mark law."""
 
     catalog: tuple[ClusterEntry, ...]
 
@@ -90,6 +94,7 @@ class ClusterLaw:
             raise ValueError("catalog must be nonempty")
         if sum((e.prob for e in entries), Fraction(0)) != 1:
             raise ValueError("catalog probabilities must sum to 1 exactly")
+        object.__setattr__(self, "marks", MarkLaw([e.prob for e in entries]))
 
     @property
     def reach(self) -> int:
@@ -163,7 +168,7 @@ def cluster_buffer(spec: SushiSpec, core: Window,
     return buf
 
 
-def _hang_clusters(ground: Sequence[Fraction], entries: Sequence[ClusterEntry],
+def _hang_clusters(ground: Sequence[Fraction], entries: Iterable[ClusterEntry],
                    T: TransformHandle, core: Window, max_stage: int):
     """The atoms (T^k x, a_k) in core of each ground point x's cluster."""
     atoms = ((T.apply(x, k, max_stage=max_stage), a)
@@ -173,31 +178,27 @@ def _hang_clusters(ground: Sequence[Fraction], entries: Sequence[ClusterEntry],
 
 def sample_sushi(spec: SushiSpec, core: Window, rng: Rng,
                  max_stage: int = DEFAULT_MAX_STAGE,
-                 buffer: Window | None = None) -> WeightedConfig:
+                 buffer: Window | None = None) -> PointConfig:
     """Direct cluster sampler restricted to the core window.
 
-    Draw order: ground Poisson(c x length) on the buffered window, then one
-    uniform per ground point (in point order) selecting the catalog entry.
-    A caller that samples many replicates passes the ground window, as
-    ``cluster_buffer(spec, core)``, so it is built once.
+    Draw order: ground Poisson(c x length) on the buffered window, then its
+    marks, one uniform per ground point (in point order) naming the catalog
+    entry that hangs there.  A caller that samples many replicates passes
+    the ground window, as ``cluster_buffer(spec, core)``, so it is built
+    once.
     """
     if buffer is None:
         buffer = cluster_buffer(spec, core, max_stage=max_stage)
-    ground = sample_poisson(IntensitySpec(spec.c), buffer, rng)
-    catalog = spec.law.catalog
-    # entry i is the first whose cumulative probability q_i exceeds u; for a
-    # float u that holds exactly when u < t_i, the least float >= q_i
-    ts = [float(q) if Fraction(float(q)) >= q else np.nextafter(float(q), np.inf)
-          for q in accumulate(e.prob for e in catalog[:-1])]
-    idx = np.searchsorted(ts, rng.random_block(len(ground)), side="right")
-    return WeightedConfig.of_sum(_hang_clusters(
-        ground.points, [catalog[i] for i in idx.tolist()], spec.T, core,
-        max_stage), core)
+    ground = attach_marks(sample_poisson(IntensitySpec(spec.c), buffer, rng),
+                          spec.law.marks, rng)
+    entries = [spec.law.catalog[m] for m in ground.marks.tolist()]
+    return PointConfig.of_sum(_hang_clusters(ground.points, entries, spec.T,
+                                             core, max_stage), core)
 
 
 def sample_id_measure(spec: SushiSpec, core: Window, rng: Rng,
                       max_stage: int = DEFAULT_MAX_STAGE,
-                      buffers: Sequence[Window] | None = None) -> WeightedConfig:
+                      buffers: Sequence[Window] | None = None) -> PointConfig:
     """Poisson-integral sampler: one independent ground per catalog entry.
 
     The cluster point process on (space x catalog) with intensity
@@ -215,22 +216,24 @@ def sample_id_measure(spec: SushiSpec, core: Window, rng: Rng,
         buffer = (cluster_buffer(spec, core, entry, max_stage)
                   if buffers is None else buffers[i])
         ground = sample_poisson(IntensitySpec(spec.c * entry.prob), buffer, rng)
-        atoms += _hang_clusters(ground.points, [entry] * len(ground.points),
-                                spec.T, core, max_stage)
-    return WeightedConfig.of_sum(atoms, core)
+        atoms += _hang_clusters(ground.points, repeat(entry), spec.T, core,
+                                max_stage)
+    return PointConfig.of_sum(atoms, core)
 
 
-def truncate_weights(v: WeightedConfig, eps: RatLike) -> WeightedConfig:
+def truncate_weights(v: PointConfig, eps: RatLike) -> PointConfig:
     """Drop atoms with weight strictly below eps; an exact tie survives."""
     eps = as_rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return WeightedConfig(tuple((p, w) for p, w in v.atoms if w >= eps), v.window)
+    kept = [(p, w) for p, w in v.atoms if w >= eps]
+    return PointConfig([p for p, _ in kept], v.window,
+                       weights=[w for _, w in kept])
 
 
-def simplify(v: WeightedConfig) -> PointConfig:
+def simplify(v: PointConfig) -> PointConfig:
     """Forget weights: the support as a simple configuration."""
-    return PointConfig(tuple(p for p, _ in v.atoms), v.window)
+    return PointConfig(v.points, v.window)
 
 
 def unit_intensity_c(law: ClusterLaw) -> Fraction:
@@ -275,13 +278,13 @@ def sushi_variance(spec: SushiSpec, A: Window,
     return spec.c * total
 
 
-def _orbit_groups(v: WeightedConfig, T: TransformHandle, K_max: int,
+def _orbit_groups(v: PointConfig, T: TransformHandle, K_max: int,
                   max_stage: int):
     """Partition atoms into orbit groups within +-K_max steps."""
-    support = {p: w for p, w in v.atoms}
+    support = dict(v.atoms)
     seen: set[Fraction] = set()
     groups = []
-    for p, _ in v.atoms:
+    for p in v.points:
         if p in seen:
             continue
         rel = {0: support[p]}
@@ -325,7 +328,7 @@ def _touches_boundary(anchor: Fraction, rel: dict[int, Fraction],
     return False
 
 
-def phi_encode(v: WeightedConfig, T: TransformHandle, K_max: int,
+def phi_encode(v: PointConfig, T: TransformHandle, K_max: int,
                boundary: str = "drop",
                max_stage: int = DEFAULT_MAX_STAGE) -> list[EncodedCluster]:
     """Canonical orbit coding of a realization built from whole clusters.
@@ -363,7 +366,7 @@ def phi_encode(v: WeightedConfig, T: TransformHandle, K_max: int,
 
 def phi_decode(enc: Sequence[EncodedCluster], T: TransformHandle,
                window: Window | None = None,
-               max_stage: int = DEFAULT_MAX_STAGE) -> WeightedConfig:
+               max_stage: int = DEFAULT_MAX_STAGE) -> PointConfig:
     """Inverse coding: place each cluster's weights along its orbit.
 
     Two clusters claiming one support point is an error, not a merge: the
@@ -377,10 +380,5 @@ def phi_decode(enc: Sequence[EncodedCluster], T: TransformHandle,
                 raise ValueError(f"support collision at {pos}")
             acc[pos] = b
     if window is None:
-        if acc:
-            lo = min(acc)
-            hi = max(acc)
-            window = Window.span(lo, hi + 1)
-        else:
-            window = EMPTY
-    return WeightedConfig(tuple(sorted(acc.items())), window)
+        window = Window.span(min(acc), max(acc) + 1) if acc else EMPTY
+    return PointConfig.of_sum(acc.items(), window)

@@ -58,13 +58,7 @@ from .moments import (
     partitions,
     replicate_matrix,
 )
-from .point_process import (
-    Rng,
-    count_replicates,
-    dissociation_check,
-    dump_csv,
-    free_check,
-)
+from .point_process import Rng, dissociation_check, dump_csv, free_check
 from .split_mark import LatticeSampler, MarkLaw, project_mark_set
 from .stats import (
     TestReport,
@@ -374,7 +368,7 @@ def _int_in(lo: int, hi: float = math.inf) -> Callable:
 
 def _check_selectors(plan: _Plan, item: Mapping, at: str) -> None:
     """The components, marks, windows and samplers an item names exist: a
-    counting test needs ``component`` on a split and allows ``mark`` on a
+    counting test may name a ``component`` of a split or a ``mark`` of a
     mark construction; ``pair`` and ``groupings`` index components or
     marks, cesaro ``K`` its windows; every window it counts in, cesaro's
     shifted windows included, lies in the observed window."""
@@ -392,13 +386,11 @@ def _check_selectors(plan: _Plan, item: Mapping, at: str) -> None:
     if test in ("poisson_gof", "intensity", "dispersion", "variance"):
         for key, kind in (("component", "split"), ("mark", "mark")):
             if item.get(key) is None:
-                if plan.kind == kind == "split":
-                    raise ValueError(f"{at}.{key}: required for {test} on a split")
-            elif plan.kind != kind:
+                continue
+            if plan.kind != kind:
                 raise ValueError(f"{at}.{key}: only the {kind} construction "
                                  f"has {key}s")
-            else:
-                indices.append((key, [item[key]], n))
+            indices.append((key, [item[key]], n))
     if test in ("cross_correlation", "dissociation"):
         indices.append(("pair", item.get("pair", [0, 1]), n))
     groups = item.get("groupings")
@@ -474,13 +466,8 @@ def _run_poisson_gof(plan, spec, item, rng):
     level = float(item.get("level", 0.01))
     j = item.get(plan.selector)
     label = "" if j is None else f"[{plan.selector} {j}]"
-    if plan.kind == "poisson":
-        w = _item_window(plan, item)
-        counts = count_replicates(plan.intensity, [w], rng,
-                                  _item_R(spec, item))[:, 0]
-    else:
-        w, _, vec = _item_counts(plan, spec, item, rng)
-        counts = _integers(vec, "poisson_gof")
+    w, _, vec = _item_counts(plan, spec, item, rng)
+    counts = _integers(vec, "poisson_gof")
     mean = _expected(plan, item, w)
     if item.get("mean") == "empirical":
         mean = float(counts.mean())
@@ -649,35 +636,37 @@ def _run_cesaro(plan, spec, item, rng):
                           "averages": np.array(res.averages)}
 
 
-_NOT_SPLIT = ("poisson", "thin", "mark", "sushi", "id")
+_MARKED = ("split", "mark")
+_CLUSTER = ("sushi", "id")
 _WINDOW = (True, parse_window)
 
 # Each test: its runner, the constructions that can run it, and the item
 # parameters it reads as {key: (required, check)}; any item may also name a
 # ``window``.  A test suits only some constructions when it correlates
 # split or marked components, needs the orbit coding or second sampler of
-# a cluster measure, a closed-form variance, or simple points (``free``),
-# or counts the whole realization, which the split construction leaves to
-# its components.  ExperimentSpec.from_dict applies all this before any sampling,
-# and _check_selectors the checks that depend on the construction.
+# a cluster measure, a closed-form variance, or simple points (``free``).
+# A split sample is its whole marked realization, so split and mark run
+# the same tests: every one but the cluster tests.  ExperimentSpec.from_dict
+# applies all this before any sampling, and _check_selectors the checks
+# that depend on the construction.
 _TESTS: dict[str, tuple[Callable, tuple[str, ...], dict]] = {
     "poisson_gof": (_run_poisson_gof, CONSTRUCTIONS, {}),
     "intensity": (_run_intensity, CONSTRUCTIONS, {}),
     "dispersion": (_run_dispersion, CONSTRUCTIONS, {}),
-    "covariance": (_run_covariance, _NOT_SPLIT, {"A": _WINDOW, "B": _WINDOW}),
-    "mixed_moment": (_run_mixed_moment, ("split", "mark"),
+    "covariance": (_run_covariance, CONSTRUCTIONS, {"A": _WINDOW, "B": _WINDOW}),
+    "mixed_moment": (_run_mixed_moment, _MARKED,
                      {"groupings": (True, lambda g: list(map(_parse_windows, g)))}),
-    "cross_correlation": (_run_cross_correlation, ("split", "mark"), {}),
-    "dissociation": (_run_dissociation, ("split",), {"K": (False, _int_in(0))}),
-    "free": (_run_free, ("poisson", "thin", "mark"), {"K": (False, _int_in(1))}),
-    "moment_fit": (_run_moment_fit, _NOT_SPLIT, {"n": (False, _int_in(2, 3))}),
-    "diagonal_weight": (_run_diagonal_weight, _NOT_SPLIT,
+    "cross_correlation": (_run_cross_correlation, _MARKED, {}),
+    "dissociation": (_run_dissociation, _MARKED, {"K": (False, _int_in(0))}),
+    "free": (_run_free, ("poisson", "thin", *_MARKED), {"K": (False, _int_in(1))}),
+    "moment_fit": (_run_moment_fit, CONSTRUCTIONS, {"n": (False, _int_in(2, 3))}),
+    "diagonal_weight": (_run_diagonal_weight, CONSTRUCTIONS,
                         {"n": (False, _int_in(1, 4)),
                          "depth": (False, _int_in(0, 12))}),
-    "round_trip": (_run_round_trip, ("sushi", "id"), {}),
-    "two_sample_vs": (_run_two_sample_vs, ("sushi", "id"), {}),
-    "variance": (_run_variance, ("poisson", "split", "sushi", "id"), {}),
-    "cesaro": (_run_cesaro, _NOT_SPLIT,
+    "round_trip": (_run_round_trip, _CLUSTER, {}),
+    "two_sample_vs": (_run_two_sample_vs, _CLUSTER, {}),
+    "variance": (_run_variance, ("poisson", *_MARKED, *_CLUSTER), {}),
+    "cesaro": (_run_cesaro, CONSTRUCTIONS,
                {"windows": (True, _parse_windows), "L": (False, _int_in(1))}),
 }
 

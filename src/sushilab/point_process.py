@@ -1,8 +1,11 @@
 """Point configurations, seeded randomness, and exact Poisson sampling.
 
 A realization is a finite set of exact rational points observed through a
-window, optionally weighted or marked (a split is marked by component).
-Sampling follows a fixed draw-order contract so
+window, each point optionally marked (a split is marked by component, a
+cluster ground by catalog entry) or, off the lattice, weighted (a cluster
+measure weighs each point by the mass its clusters hang there): one type,
+:class:`PointConfig`, holds them all.  Sampling follows a fixed draw-order
+contract so
 that whole configurations are reproducible from ``(seed, stream_id)`` alone:
 
 1. one count per window part, by inversion of the Poisson CDF from a single
@@ -23,8 +26,9 @@ work on them.  A window edge b becomes the exact integer threshold
 :func:`counts` gives N(A) of one realization for every column ``(j, A)``,
 j naming the whole realization (None) or a mark: one ``searchsorted`` per
 frame ranks every edge among the points, and a table of cumulative mark
-counts reads each mark's count at those ranks; :func:`count` is its
-one-column case.
+counts reads each mark's count at those ranks; a weighted configuration
+sums the exact weights between the ranks.  :func:`count` is the one-column
+case.
 
 :class:`Streams` gives the raw PCG64 words of the child streams
 ``rng.child(r)`` of many replicates at once, bit-identical to numpy's: a
@@ -47,20 +51,18 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from typing import IO, Iterable, Sequence, Union
+from itertools import accumulate, repeat
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .dynamics import DEFAULT_MAX_STAGE, TransformHandle
-from .windows import IntensitySpec, RatLike, Window, format_rat
+from .windows import IntensitySpec, RatLike, Window, as_rat, format_rat
 
 __all__ = [
     "Rng",
     "Streams",
     "PointConfig",
-    "WeightedConfig",
-    "Config",
     "sample_poisson",
     "count_replicates",
     "push_forward",
@@ -404,29 +406,36 @@ def _check_points(pts: Sequence[Fraction], window: Window) -> None:
 
 
 class PointConfig:
-    """Finite simple configuration: distinct sorted rational points in a
-    window, point i with the mark ``marks[i]`` in ``0..mark_count-1``, if any.
+    """Finite configuration: distinct sorted rational points in a window,
+    point i with the mark ``marks[i]`` in ``0..mark_count-1``, or with the
+    exact positive weight ``weights[i]``, if any.
 
-    ``PointConfig(points, window, marks=None, mark_count=None)`` checks
-    hand-built points.  A sampled configuration holds, for each lattice
+    ``PointConfig(points, window, marks=None, mark_count=None,
+    weights=None)`` checks hand-built points.  A mark is a label and a
+    marked point counts 1; a weighted configuration is the discrete measure
+    that counts each point's weight.  Marks and weights never go together.
+    A sampled configuration carries no weights, and holds, for each lattice
     frame of its sampling window, the sorted uint64 grid indices of its
-    points instead, and builds the exact ``Fraction`` points when
-    ``.points`` is first read.  Counting, thinning, marking and splitting
-    never read them.  Either way the configuration is immutable, and
-    equality goes by ``(points, window, marks, mark_count)``.
+    points instead, building the exact ``Fraction`` points when ``.points``
+    is first read.  Counting, thinning, marking and splitting never read
+    them.  Either way the configuration is immutable, and equality goes by
+    ``(points, window, marks, mark_count, weights)``.
     """
 
-    __slots__ = ("window", "marks", "mark_count", "_points", "_layout", "_ks",
-                 "_len")
+    __slots__ = ("window", "marks", "mark_count", "weights", "_points",
+                 "_layout", "_ks", "_len")
 
     def __init__(self, points: Sequence[Fraction], window: Window,
                  marks: Sequence[int] | None = None,
-                 mark_count: int | None = None) -> None:
+                 mark_count: int | None = None,
+                 weights: Sequence[RatLike] | None = None) -> None:
         pts = tuple(points)
         _check_points(pts, window)
         if (marks is None) != (mark_count is None):
             raise ValueError("marks and mark_count go together")
         if marks is not None:
+            if weights is not None:
+                raise ValueError("weights and marks do not go together")
             if isinstance(mark_count, bool) or \
                     not hasattr(type(mark_count), "__index__"):
                 raise TypeError("mark_count must be an integer")
@@ -436,8 +445,26 @@ class PointConfig:
                     and ((marks >= 0) & (marks < mark_count)).all()):
                 raise ValueError(f"need one mark in 0..{mark_count - 1} per point")
             marks.flags.writeable = False
+        if weights is not None:
+            weights = tuple(map(as_rat, weights))
+            if len(weights) != len(pts):
+                raise ValueError(f"weights: need one per point, not {len(weights)} "
+                                 f"for {len(pts)}")
+            if any(w.numerator <= 0 for w in weights):  # denominators are positive
+                raise ValueError("weights must be positive")
         self._set(window=window, marks=marks, mark_count=mark_count,
-                  _points=pts, _layout=None, _ks=None, _len=len(pts))
+                  weights=weights, _points=pts, _layout=None, _ks=None,
+                  _len=len(pts))
+
+    @classmethod
+    def of_sum(cls, pairs: Iterable[tuple[Fraction, RatLike]],
+               window: Window) -> "PointConfig":
+        """The measure summing, at each point, its weights among pairs."""
+        acc: dict[Fraction, Fraction] = {}
+        for p, w in pairs:
+            acc[p] = acc[p] + as_rat(w) if p in acc else as_rat(w)
+        atoms = sorted(acc.items())
+        return cls([p for p, _ in atoms], window, weights=[w for _, w in atoms])
 
     @classmethod
     def _on_lattice(cls, layout: _Layout, ks: Sequence[np.ndarray],
@@ -448,8 +475,9 @@ class PointConfig:
                 raise ValueError("grid indices must be strictly increasing "
                                  "and below 2**53")
         c = object.__new__(cls)
-        c._set(window=window, marks=None, mark_count=None, _points=None,
-               _layout=layout, _ks=tuple(ks), _len=sum(k.size for k in ks))
+        c._set(window=window, marks=None, mark_count=None, weights=None,
+               _points=None, _layout=layout, _ks=tuple(ks),
+               _len=sum(k.size for k in ks))
         if window is not layout.window and \
                 _exact_counts(c, _one_column(window))[0] != len(c):
             raise ValueError(f"points outside window {window}")
@@ -464,10 +492,13 @@ class PointConfig:
 
     def _marked(self, marks: np.ndarray, mark_count: int) -> "PointConfig":
         """These points with the marks marks, which the caller has checked."""
-        c = object.__new__(PointConfig)
+        if self.weights is not None:
+            raise ValueError("weights and marks do not go together")
         marks.flags.writeable = False
-        c._set(**{**{name: getattr(self, name) for name in PointConfig.__slots__},
-                  "marks": marks, "mark_count": mark_count})
+        c = object.__new__(PointConfig)
+        for name in PointConfig.__slots__:
+            object.__setattr__(c, name, getattr(self, name))
+        c._set(marks=marks, mark_count=mark_count)
         return c
 
     @property
@@ -479,11 +510,19 @@ class PointConfig:
             object.__setattr__(self, "_points", tuple(pts))
         return self._points
 
+    @property
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The (point, weight) pairs of the measure; an unweighted point
+        weighs 1."""
+        return tuple(zip(self.points, self.weights or repeat(Fraction(1))))
+
     def _subset(self, keep: np.ndarray, window: Window) -> "PointConfig":
-        """The points where the boolean mask keep is set, in window."""
+        """The points where the boolean mask keep is set, in window, with
+        their weights but not their marks."""
         if self._ks is None:
-            return PointConfig(
-                tuple(p for p, k in zip(self.points, keep.tolist()) if k), window)
+            at = np.flatnonzero(keep).tolist()
+            return PointConfig([self.points[i] for i in at], window,
+                               weights=self.weights and [self.weights[i] for i in at])
         ks, start = [], 0
         for k in self._ks:
             ks.append(k[keep[start:start + k.size]])
@@ -496,8 +535,8 @@ class PointConfig:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointConfig):
             return NotImplemented
-        if (self._len, self.window, self.mark_count) != \
-                (other._len, other.window, other.mark_count):
+        if (self._len, self.window, self.mark_count, self.weights) != \
+                (other._len, other.window, other.mark_count, other.weights):
             return False
         if self.marks is not None and not np.array_equal(self.marks, other.marks):
             return False
@@ -506,47 +545,19 @@ class PointConfig:
         return self.points == other.points
 
     def __hash__(self) -> int:
-        return hash((self.points, self.window, self.mark_count))
+        return hash((self.points, self.window, self.mark_count, self.weights))
 
     def __reduce__(self):
         # pickle and copy go through the public constructor
-        return PointConfig, (self.points, self.window, self.marks, self.mark_count)
+        return PointConfig, (self.points, self.window, self.marks,
+                             self.mark_count, self.weights)
 
     def __repr__(self) -> str:
-        marks = "" if self.marks is None else \
+        extra = "" if self.marks is None else \
             f", marks={tuple(self.marks.tolist())!r}, mark_count={self.mark_count}"
-        return f"PointConfig(points={self.points!r}, window={self.window!r}{marks})"
-
-
-@dataclass(frozen=True)
-class WeightedConfig:
-    """Finite discrete measure: distinct sorted points with positive weights."""
-
-    atoms: tuple[tuple[Fraction, Fraction], ...]
-    window: Window
-
-    def __post_init__(self):
-        atoms = tuple((p, w) for p, w in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
-        _check_points([p for p, _ in atoms], self.window)
-        for p, w in atoms:
-            if w <= 0:
-                raise ValueError("weights must be positive")
-
-    @classmethod
-    def of_sum(cls, pairs: Iterable[tuple[Fraction, RatLike]],
-               window: Window) -> "WeightedConfig":
-        """The measure summing, at each point, its weights among pairs."""
-        acc: dict[Fraction, Fraction] = {}
-        for p, w in pairs:
-            acc[p] = acc.get(p, Fraction(0)) + w
-        return cls(tuple(sorted(acc.items())), window)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-
-Config = Union[PointConfig, WeightedConfig]
+        if self.weights is not None:
+            extra = f", weights={self.weights!r}"
+        return f"PointConfig(points={self.points!r}, window={self.window!r}{extra})"
 
 
 def _sample_part_positions(rng: Rng, n: int) -> np.ndarray:
@@ -618,37 +629,33 @@ def count_replicates(
     return out
 
 
-def push_forward(c: Config, T: TransformHandle, k: int,
-                 max_stage: int = DEFAULT_MAX_STAGE) -> Config:
-    """Image configuration under T^k; weights and marks ride along, window follows."""
+def push_forward(c: PointConfig, T: TransformHandle, k: int,
+                 max_stage: int = DEFAULT_MAX_STAGE) -> PointConfig:
+    """Image configuration under T^k; marks and weights ride along, window follows."""
     new_window = T.image_window(c.window, k, max_stage=max_stage)
-    if isinstance(c, PointConfig):
-        images = [T.apply(x, k, max_stage=max_stage) for x in c.points]
-        order = sorted(range(len(images)), key=images.__getitem__)
-        marks = None if c.marks is None else c.marks[order]
-        return PointConfig([images[i] for i in order], new_window, marks,
-                           c.mark_count)
-    atoms = sorted((T.apply(x, k, max_stage=max_stage), w) for x, w in c.atoms)
-    return WeightedConfig(tuple(atoms), new_window)
+    images = [T.apply(x, k, max_stage=max_stage) for x in c.points]
+    order = sorted(range(len(images)), key=images.__getitem__)
+    marks = None if c.marks is None else c.marks[order]
+    weights = None if c.weights is None else [c.weights[i] for i in order]
+    return PointConfig([images[i] for i in order], new_window, marks,
+                       c.mark_count, weights)
 
 
-def superpose(c1: Config, c2: Config) -> Config:
+def superpose(c1: PointConfig, c2: PointConfig) -> PointConfig:
     """Measure sum of two configurations over one shared window.
 
-    Point + point stays simple when supports are disjoint; a shared point
-    promotes the result to a weighted configuration.  Marks are labels, not
-    weights: every point counts 1, and the sum carries no marks.
+    Unweighted configurations stay unweighted when their supports are
+    disjoint; a shared point or a weighted summand gives a weighted sum.
+    Marks are labels, not weights: every marked point counts 1, and the sum
+    carries no marks.
     """
     if c1.window != c2.window:
         raise ValueError("superpose requires identical windows")
-    pairs = [(p, w) for c in (c1, c2) for p, w in
-             (c.atoms if isinstance(c, WeightedConfig) else
-              ((p, 1) for p in c.points))]
-    pts = {p for p, _ in pairs}
-    if isinstance(c1, PointConfig) and isinstance(c2, PointConfig) and \
-            len(pts) == len(pairs):
-        return PointConfig(sorted(pts), c1.window)
-    return WeightedConfig.of_sum(pairs, c1.window)
+    if c1.weights is None and c2.weights is None:
+        pts = set(c1.points).union(c2.points)
+        if len(pts) == len(c1) + len(c2):
+            return PointConfig(sorted(pts), c1.window)
+    return PointConfig.of_sum(c1.atoms + c2.atoms, c1.window)
 
 
 class Columns:
@@ -714,16 +721,16 @@ def _check_columns(window: Window, mark_count: int | None,
         raise ValueError(f"column selector {columns.top} names no component or mark")
 
 
-def _ranks(c: Config, columns: Columns) -> np.ndarray:
+def _ranks(c: PointConfig, columns: Columns) -> np.ndarray:
     """For each edge of columns, the number of points of c below it.  On a
     lattice, one ``searchsorted`` per frame, summed: a frame wholly below an
-    edge gives all its points, one above it none.  Other configurations
-    bisect their points."""
-    if isinstance(c, PointConfig) and c._ks is not None:
+    edge gives all its points, one above it none.  Hand-built
+    configurations bisect their points."""
+    if c._ks is not None:
         return sum((ks.searchsorted(frame.cuts(columns))
                     for frame, ks in zip(c._layout.frames, c._ks) if ks.size),
                    np.zeros(len(columns.edges), dtype=np.int64))
-    xs = c.points if isinstance(c, PointConfig) else [p for p, _ in c.atoms]
+    xs = c.points
     return np.array([bisect_left(xs, x) for x in columns.edges], dtype=np.int64)
 
 
@@ -767,22 +774,22 @@ def _gaps_above(c: PointConfig, kappa: Fraction) -> np.ndarray:
     return np.concatenate(out) if out else np.zeros(0, dtype=bool)
 
 
-def _exact_counts(c: Config, columns: Columns) -> np.ndarray:
+def _exact_counts(c: PointConfig, columns: Columns) -> np.ndarray:
     """N(A) for each column (j, A) of columns: point counts as int64, or a
     list of exact Fraction weights for a weighted configuration."""
-    _check_columns(c.window, getattr(c, "mark_count", None), columns)
+    _check_columns(c.window, c.mark_count, columns)
     rank = _ranks(c, columns)
-    if isinstance(c, WeightedConfig):
-        r = rank.tolist()
-        atoms = [c.atoms[i:j] for i, j in zip(r[::2], r[1::2])]  # per part
-        return [sum((w for part in atoms[a:b] for _, w in part), Fraction(0))
+    if c.weights is not None:
+        r, w = rank.tolist(), c.weights
+        spans = list(zip(r[::2], r[1::2]))  # per part, its points' ranks
+        return [sum((x for i, j in spans[a:b] for x in w[i:j]), Fraction(0))
                 for a, b in columns.parts]
     if columns.rows is not None:
         rank = _mark_table(c)[columns.rows, rank]
     return columns.totals(rank[1::2] - rank[::2])
 
 
-def counts(sample: Config,
+def counts(sample: PointConfig,
            columns: Columns | Sequence[tuple[int | None, Window]]) -> np.ndarray:
     """N(A) of one realization for every column ``(j, A)``, as float64.
 
@@ -797,12 +804,12 @@ def counts(sample: Config,
     return np.asarray(_exact_counts(sample, columns), dtype=np.float64)
 
 
-def count(c: Config, A: Window):
+def count(c: PointConfig, A: Window):
     """N(A): the one-column case of :func:`counts`, kept exact -- the point
     count (marks do not weigh), or the total weight, a Fraction, of a
     weighted configuration."""
     n = _exact_counts(c, _one_column(A))[0]
-    return Fraction(n) if isinstance(c, WeightedConfig) else int(n)
+    return int(n) if c.weights is None else n
 
 
 # ---------------------------------------------------------------------------
@@ -930,7 +937,7 @@ def _meets(xs, support: set, ks, T: TransformHandle, max_stage: int) -> bool:
                for k in ks for x in xs)
 
 
-def dump_csv(c: Config, fh: IO[str], *, seed: int | None = None,
+def dump_csv(c: PointConfig, fh: IO[str], *, seed: int | None = None,
              stream_id: int | None = None,
              intensity: IntensitySpec | None = None) -> None:
     """Write a configuration as CSV: exact point strings, then decimal
@@ -943,10 +950,7 @@ def dump_csv(c: Config, fh: IO[str], *, seed: int | None = None,
     if intensity is not None:
         meta.append(f"intensity={format_rat(intensity.alpha)}")
     fh.write("# " + " ".join(meta) + "\n")
-    if isinstance(c, WeightedConfig):
-        fh.write("point,weight\n")
-        rows = ((p, float(w)) for p, w in c.atoms)
-    else:
-        fh.write("point,weight\n" if c.marks is None else "point,mark\n")
-        rows = zip(c.points, [1] * len(c) if c.marks is None else c.marks.tolist())
+    fh.write("point,weight\n" if c.marks is None else "point,mark\n")
+    values = [1] * len(c) if c.weights is None else map(float, c.weights)
+    rows = zip(c.points, values if c.marks is None else c.marks.tolist())
     fh.writelines(f"{format_rat(p)},{v}\n" for p, v in rows)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -59,35 +60,43 @@ __all__ = [
 ]
 
 
-def _validate_probs(probs: Sequence[float]) -> np.ndarray:
-    arr = np.asarray([float(p) for p in probs], dtype=float)
-    if arr.size == 0 or (arr < 0).any():
-        raise ValueError("probabilities must be nonnegative and nonempty")
-    if abs(arr.sum() - 1.0) > 1e-12:
-        raise ValueError("probabilities must sum to 1")
-    return arr
-
-
 class MarkLaw:
-    """A mark law, checked once: its mark count and the float cumulative
-    thresholds (a float ``cumsum`` of the probabilities) that each point's
-    uniform is compared with."""
+    """A mark law, checked once: its mark count and the thresholds that
+    each point's uniform u is compared with.
 
-    __slots__ = ("count", "cum")
+    Mark i is the first whose cumulative probability q_i exceeds u, the
+    last when none does.  Threshold i is the least float at or above the
+    exact q_i, so for a float u, ``u < q_i`` exactly when u is below it.
+    Probabilities are exact rationals, or floats taken at their exact
+    values, and must sum to 1 within 1e-12.
+    """
 
-    def __init__(self, probs: Sequence[float]) -> None:
-        arr = _validate_probs(probs)
-        self.count = arr.size
-        self.cum = np.cumsum(arr)
-        self.cum.flags.writeable = False
+    __slots__ = ("count", "thresholds")
+
+    def __init__(self, probs: Sequence[RatLike]) -> None:
+        exact = [as_rat(p) for p in probs]
+        if not exact or any(p < 0 for p in exact):
+            raise ValueError("probabilities must be nonnegative and nonempty")
+        cum = list(accumulate(exact))
+        if abs(cum[-1] - 1) > 1e-12:
+            raise ValueError("probabilities must sum to 1")
+        self.count = len(exact)
+        self.thresholds = np.array([_ceil_float(q) for q in cum[:-1]], dtype=float)
+        self.thresholds.flags.writeable = False
+
+
+def _ceil_float(q: Fraction) -> float:
+    """The least float at or above q."""
+    t = float(q)
+    return t if Fraction(t) >= q else float(np.nextafter(t, np.inf))
 
 
 def _draw_marks(law: MarkLaw, us: np.ndarray) -> np.ndarray:
     """The marks of the uniforms us, one per point, in point order."""
-    return np.minimum(np.searchsorted(law.cum, us, side="right"), law.count - 1)
+    return np.searchsorted(law.thresholds, us, side="right")
 
 
-def attach_marks(c: PointConfig, mark_probs: MarkLaw | Sequence[float],
+def attach_marks(c: PointConfig, mark_probs: MarkLaw | Sequence[RatLike],
                  rng: Rng) -> PointConfig:
     """The points of c with i.i.d. marks of law mark_probs, marks
     0..len(mark_probs)-1; one uniform per point, in point order."""
@@ -107,7 +116,7 @@ def project_mark_set(mc: PointConfig, B: Iterable[int]) -> PointConfig:
     return mc._subset(keep[mc.marks], mc.window)
 
 
-def bernoulli_split(c: PointConfig, probs: Sequence[float], rng: Rng) -> list[PointConfig]:
+def bernoulli_split(c: PointConfig, probs: Sequence[RatLike], rng: Rng) -> list[PointConfig]:
     """Independent assignment of each point to one of len(probs) components.
 
     The draws are those of :func:`attach_marks`, and component i is the

@@ -94,7 +94,7 @@ class TestRunCommand:
         assert "battery[0].B" in capsys.readouterr().err
 
     @pytest.mark.parametrize("item,field", [
-        ({"test": "intensity"}, "battery[0].component"),
+        ({"test": "intensity", "component": "0"}, "battery[0].component"),
         ({"test": "variance", "component": 5}, "battery[0].component"),
         ({"test": "intensity", "component": 0, "window": "0..1"},
          "battery[0].window"),
@@ -113,9 +113,8 @@ class TestRunCommand:
          "error: battery[1].depth: must be an integer in 0..12"),
         ("split", {"probs": ["1/2", "1/2"]},
          [{"test": "cross_correlation", "pair": "ab"}], "error: battery[0].pair"),
-        ("split", {"probs": ["1/2", "1/2"]}, [{"test": "covariance", "A": "[0,1)",
-                                              "B": "[0,2)"}],
-         "error: battery[0].test: covariance needs the"),
+        ("split", {"probs": ["1/2", "1/2"]}, [{"test": "round_trip"}],
+         "error: battery[0].test: round_trip needs the"),
     ])
     def test_item_refused_at_load_exits_two(self, tmp_path, capsys, construction,
                                             params, battery, line):

@@ -24,7 +24,6 @@ from sushilab.dynamics import RankOneMachine, Translation, chacon3_recipe
 from sushilab.point_process import (
     PointConfig,
     Rng,
-    WeightedConfig,
     count,
     push_forward,
     sample_poisson,
@@ -154,7 +153,7 @@ class TestSamplers:
             for pos in (g, g + 1):
                 if pos in core:
                     acc[pos] = acc.get(pos, F(0)) + 1
-        assert v == WeightedConfig(tuple(sorted(acc.items())), core)
+        assert v == PointConfig(sorted(acc), core, weights=[acc[p] for p in sorted(acc)])
 
     @pytest.mark.parametrize("probs", [
         [F(1, 3), F(2, 3)],
@@ -182,7 +181,7 @@ class TestSamplers:
                 i = next(i for i, q in enumerate(cum) if u < q or i == len(cum) - 1)
                 if g + i in core:
                     acc[g + i] = acc.get(g + i, F(0)) + i + 1
-            assert v == WeightedConfig(tuple(sorted(acc.items())), core)
+            assert v == PointConfig(sorted(acc), core, weights=[acc[p] for p in sorted(acc)])
             assert rng.random() == ref.random()
 
     def test_sushi_on_machine_lands_in_core(self):
@@ -210,7 +209,7 @@ class TestSamplers:
 
 class TestWeightOps:
     def test_truncate(self):
-        v = WeightedConfig(((F(0), F(1, 10)), (F(1), F(2))), parse_window("[0,2)"))
+        v = PointConfig((F(0), F(1)), parse_window("[0,2)"), weights=(F(1, 10), F(2)))
         assert truncate_weights(v, F(1, 100)) == v
         assert truncate_weights(v, 1).atoms == ((F(1), F(2)),)
         # exact tie survives: removal is strict
@@ -221,28 +220,24 @@ class TestWeightOps:
     def test_truncate_monotone_in_eps(self):
         rng = Rng(9, 9)
         pts = sample_poisson(IntensitySpec(2), parse_window("[0,8)"), rng)
-        v = WeightedConfig(
-            tuple((p, F(i % 5 + 1, 3)) for i, p in enumerate(pts.points)),
-            pts.window,
-        )
+        v = PointConfig(pts.points, pts.window,
+                        weights=[F(i % 5 + 1, 3) for i in range(len(pts))])
         eps_grid = [F(1, 3), F(2, 3), F(4, 3), F(5, 3), F(2)]
         kept = [set(p for p, _ in truncate_weights(v, e).atoms) for e in eps_grid]
         for small, big in zip(kept, kept[1:]):
             assert big <= small
 
     def test_simplify(self):
-        v = WeightedConfig(((F(0), F(2)), (F(1), F(1))), parse_window("[0,2)"))
+        v = PointConfig((F(0), F(1)), parse_window("[0,2)"), weights=(F(2), F(1)))
         assert simplify(v) == PointConfig((F(0), F(1)), v.window)
-        empty = WeightedConfig((), parse_window("[0,2)"))
+        empty = PointConfig((), parse_window("[0,2)"), weights=())
         assert simplify(empty).points == ()
 
     def test_truncated_count_bound(self):
         rng = Rng(31, 2)
         pts = sample_poisson(IntensitySpec(3), parse_window("[0,10)"), rng)
-        v = WeightedConfig(
-            tuple((p, F(i % 7 + 1, 4)) for i, p in enumerate(pts.points)),
-            pts.window,
-        )
+        v = PointConfig(pts.points, pts.window,
+                        weights=[F(i % 7 + 1, 4) for i in range(len(pts))])
         total = sum((w for _, w in v.atoms), F(0))
         for eps in (F(1, 4), F(1, 2), F(3, 2)):
             n = len(simplify(truncate_weights(v, eps)))
@@ -252,30 +247,30 @@ class TestWeightOps:
 class TestCoding:
     def test_encode_basic(self):
         w = parse_window("[-5,7)")
-        v = WeightedConfig(((F(0), F(2)), (F(1), F(1))), w)
+        v = PointConfig((F(0), F(1)), w, weights=(F(2), F(1)))
         enc = phi_encode(v, T1, K_max=2)
         assert enc == [EncodedCluster(0, {0: 2, 1: 1})]
 
     def test_encode_tie_picks_earliest(self):
         w = parse_window("[-5,7)")
-        v = WeightedConfig(((F(0), F(1)), (F(1), F(1))), w)
+        v = PointConfig((F(0), F(1)), w, weights=(F(1), F(1)))
         assert phi_encode(v, T1, K_max=2) == [EncodedCluster(0, {0: 1, 1: 1})]
 
     def test_encode_origin_is_maximal_weight(self):
         w = parse_window("[-5,7)")
-        v = WeightedConfig(((F(0), F(1)), (F(1), F(5))), w)
+        v = PointConfig((F(0), F(1)), w, weights=(F(1), F(5)))
         assert phi_encode(v, T1, K_max=2) == [EncodedCluster(1, {-1: 1, 0: 5})]
 
     def test_encode_boundary_drop_warns_and_counts(self):
         w = parse_window("[0,10)")
-        v = WeightedConfig(((F(1, 2), F(1)), (F(5), F(1))), w)
+        v = PointConfig((F(1, 2), F(5)), w, weights=(F(1), F(1)))
         with pytest.warns(UserWarning, match="dropped 1"):
             enc = phi_encode(v, T1, K_max=2)
         assert enc == [EncodedCluster(5, {0: 1})]
 
     def test_encode_boundary_error_mode(self):
         w = parse_window("[0,10)")
-        v = WeightedConfig(((F(1, 2), F(1)),), w)
+        v = PointConfig((F(1, 2),), w, weights=(F(1),))
         with pytest.raises(ValueError, match="boundary"):
             phi_encode(v, T1, K_max=2, boundary="error")
         with pytest.raises(ValueError):
@@ -285,7 +280,7 @@ class TestCoding:
         m, core = chacon_level_core()
         x = m.tower[2][5].lo + F(1, 100)
         y = m.apply(x, 1)
-        v = WeightedConfig(tuple(sorted([(x, F(1)), (y, F(1))])), core)
+        v = PointConfig(sorted([x, y]), core, weights=(F(1), F(1)))
         enc = phi_encode(v, m, K_max=2)
         assert enc == [EncodedCluster(x, {0: 1, 1: 1})]
 

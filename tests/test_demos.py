@@ -1,6 +1,6 @@
-"""Demos run to completion as standalone scripts: the rank-one machine and
-orbit coding, and the splitting and marking demos built on the count
-matrix."""
+"""Demos run to completion as standalone scripts: the rank-one machine,
+cluster measures and orbit coding, and the splitting and marking demos
+built on the count matrix."""
 
 import os
 import subprocess
@@ -13,7 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["02_rank_one_machine.py", "03_splitting.py",
-                                  "05_marks.py", "07_orbit_coding.py"])
+                                  "05_marks.py", "06_sushi_clusters.py",
+                                  "07_orbit_coding.py"])
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

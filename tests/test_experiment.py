@@ -112,13 +112,10 @@ class TestSpecParsing:
     @pytest.mark.parametrize("test", ["intensity", "dispersion", "variance",
                                       "poisson_gof"])
     @pytest.mark.parametrize("component,message", [
-        (None, "required"), (2, "integer in [0, 2)"), (-1, "integer in [0, 2)"),
-        ("0", "integer in [0, 2)"),
+        (2, "integer in [0, 2)"), (-1, "integer in [0, 2)"), ("0", "integer in [0, 2)"),
     ])
     def test_split_component_checked_at_load(self, test, component, message):
-        item = {"test": test}
-        if component is not None:
-            item["component"] = component
+        item = {"test": test, "component": component}
         d = minimal_spec(construction="split", params={"probs": ["1/2", "1/2"]},
                          battery=[{"test": "intensity", "component": 0}, item])
         with pytest.raises(ValueError,
@@ -147,11 +144,11 @@ class TestSpecParsing:
     @pytest.mark.parametrize("test,construction,params", [
         ("cross_correlation", "poisson", {}),
         ("cross_correlation", "thin", {"kappa": "1"}),
-        ("dissociation", "mark", {"mark_probs": ["1/2", "1/2"]}),
+        ("dissociation", "poisson", {}),
         ("round_trip", "split", {"probs": ["1/2", "1/2"]}),
         ("two_sample_vs", "poisson", {}),
         ("variance", "thin", {"kappa": "1"}),
-        ("variance", "mark", {"mark_probs": ["1/2", "1/2"]}),
+        ("two_sample_vs", "mark", {"mark_probs": ["1/2", "1/2"]}),
     ])
     def test_test_suits_construction_before_sampling(self, monkeypatch, test,
                                                       construction, params):
@@ -261,7 +258,6 @@ class TestSpecParsing:
             raise AssertionError("sampled before the spec was validated")
 
         monkeypatch.setattr(experiment, "Rng", no_sampling)
-        monkeypatch.setattr(experiment, "count_replicates", no_sampling)
         d = minimal_spec(construction=construction, params=params,
                          battery=[{"test": "intensity"}, item])
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -541,9 +537,6 @@ def test_every_test_runs_or_is_refused_at_load(test, construction):
     # a (test, construction) pair either fails at load, naming the item, or
     # runs to a manifest: none ends in an error partway through a run
     item = {"test": test, **_TEST_ITEMS[test]}
-    if construction == "split" and test in ("poisson_gof", "intensity",
-                                            "dispersion", "variance"):
-        item["component"] = 0
     d = minimal_spec(construction=construction, window="[-1,5)", replicates=100,
                      params=_CONSTRUCTION_PARAMS[construction], battery=[item])
     try:

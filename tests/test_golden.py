@@ -1,5 +1,6 @@
 """The shipped preset batteries, and two rank-one specs, reproduce their
-recorded manifests bit for bit, and three presets their raw artifacts.
+recorded manifests bit for bit, every preset its raw artifacts, and seeded
+cluster realizations their exact orbit codings.
 
 A manifest hash is the first 12 hex digits of the sha256 of the manifest
 without its wall time, as JSON with sorted keys.  Any change to the draw
@@ -8,11 +9,17 @@ order, to a sampler or to a statistic moves it.
 
 import hashlib
 import json
+import warnings
+from fractions import Fraction as F
 
 import pytest
 
 from sushilab.cli import main
+from sushilab.cluster import ClusterEntry, ClusterLaw, SushiSpec, phi_encode, sample_sushi
+from sushilab.dynamics import RankOneMachine, Translation, chacon3_recipe
 from sushilab.experiment import ExperimentSpec, preset_spec, run
+from sushilab.point_process import Rng
+from sushilab.windows import parse_window
 
 GOLDEN_MANIFEST = {
     "splitting-independence": "9d28726deafb",
@@ -89,6 +96,8 @@ GOLDEN_RAW_ARTIFACTS = {
     "splitting-independence": "10acb35793c3",
     "thinning-counterexample": "9bb57a28d597",
     "moment-decomposition": "d06bf1458e39",
+    "sushi-identities": "86e2efb7e0f3",
+    "id-identities": "142a12965c16",
 }
 
 
@@ -102,3 +111,32 @@ def test_preset_raw_artifact_hash(name, tmp_path, capsys):
     for p in files:
         h.update(p.read_bytes())
     assert h.hexdigest()[:12] == GOLDEN_RAW_ARTIFACTS[name]
+
+
+# First 12 hex digits of the sha256 of repr(phi_encode(v)) over seeded
+# sample_sushi realizations v of the pair law {0: 1, 1: 1}: on translation,
+# the sushi-identities law and window with K_max 2; on chacon3, the
+# chacon3-sushi window with K_max 3, at ground scale 8 so that whole
+# clusters lie inside it.  Every origin and weight is exact, so the repr
+# pins the coding bit for bit.
+PHI_ENCODE_CASES = {
+    "translation": (Translation(1), F(1, 2), "[0,8)", 2, 60, "5bc731c71186"),
+    "chacon3": (RankOneMachine(chacon3_recipe(), label="chacon3"), F(8),
+                "[1/9,1/3)+[4/9,8/9)+[1,11/9)+[4/3,13/9)", 3, 30, "ba0743055c03"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PHI_ENCODE_CASES))
+def test_phi_encode_hash(name):
+    T, c, core, K_max, n, digest = PHI_ENCODE_CASES[name]
+    spec = SushiSpec(c, ClusterLaw([ClusterEntry({0: 1, 1: 1}, 1)]), T)
+    core = parse_window(core)
+    h, clusters = hashlib.sha256(), 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for seed in range(n):
+            enc = phi_encode(sample_sushi(spec, core, Rng(20260823, seed)), T, K_max)
+            clusters += len(enc)
+            h.update(repr(enc).encode())
+    assert clusters > n  # the pin covers many encoded clusters
+    assert h.hexdigest()[:12] == digest

@@ -18,7 +18,6 @@ from sushilab.point_process import (
     Columns,
     PointConfig,
     Rng,
-    WeightedConfig,
     count,
     counts,
     sample_poisson,
@@ -153,12 +152,28 @@ def test_counts_for_every_selector_on_a_multi_frame_layout():
 
 def test_counts_of_weights_are_exact_sums():
     w = Window.span(0, 3)
-    v = WeightedConfig(((F(0), F(1, 3)), (F(1), F(1, 3)), (F(2), F(1, 3))), w)
+    v = PointConfig((F(0), F(1), F(2)), w, weights=(F(1, 3),) * 3)
     A, B = Window.span(0, 2), Window([Interval(F(0), F(1, 2)), Interval(F(2), F(3))])
     assert count(v, A) == F(2, 3) and count(v, B) == F(2, 3)
     assert count(v, Window()) == 0 and isinstance(count(v, Window()), F)
     assert counts(v, [(None, A), (None, B), (None, w)]).tolist() == \
         [float(F(2, 3)), float(F(2, 3)), 1.0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_weighted_counts_are_per_atom_fraction_sums(data):
+    c = data.draw(lattice_configs())
+    weights = data.draw(st.lists(
+        st.fractions(min_value=F(1, 64), max_value=8, max_denominator=64),
+        min_size=len(c), max_size=len(c)))
+    v = PointConfig(c.points, c.window, weights=weights)
+    ws = sub_windows(data.draw, c, data.draw(st.integers(1, 4)))
+    expect = [sum((w for p, w in zip(c.points, weights) if p in A), F(0))
+              for A in ws]
+    assert [count(v, A) for A in ws] == expect
+    assert counts(v, [(None, A) for A in ws]).tolist() == [float(e) for e in expect]
+    assert count(v, v.window) == sum(weights, F(0))
 
 
 def test_counts_refuse_what_the_sample_lacks():
@@ -218,10 +233,12 @@ def test_lattice_operations_build_no_fractions():
 def test_pickle_and_copy_keep_the_configuration():
     c = sample_poisson(IntensitySpec(2), Window.span(0, 5), Rng(6, 6))
     mc = attach_marks(c, [0.5, 0.5], Rng(6, 7))
-    for x in (c, mc):
+    v = PointConfig(c.points, c.window, weights=range(1, len(c) + 1))
+    for x in (c, mc, v):
         assert pickle.loads(pickle.dumps(x)) == x
         assert copy.deepcopy(x) == x == copy.copy(x)
-    assert mc != c
+    assert mc != c != v
+    assert pickle.loads(pickle.dumps(v)).weights == v.weights
 
 
 def test_empty_parts_and_neighbours_across_parts():

@@ -18,7 +18,7 @@ from sushilab.moments import (
 )
 from sushilab.cluster import ClusterEntry, ClusterLaw, SushiSpec, sample_sushi
 from sushilab.dynamics import Translation
-from sushilab.point_process import PointConfig, Rng, WeightedConfig, sample_poisson
+from sushilab.point_process import PointConfig, Rng, sample_poisson
 from sushilab.windows import EMPTY, IntensitySpec, Window, parse_window
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -228,10 +228,8 @@ class TestDiagonalWeight:
             ncells = 1 << depth
 
             def evaluate(config):
-                items = config.atoms if isinstance(config, WeightedConfig) \
-                    else [(p, F(1)) for p in config.points]
                 level = {}
-                for x, w in items:
+                for x, w in config.atoms:
                     for p, b in parts:
                         if x in p:
                             k = int((b + x - p.lo) * ncells / A.length)

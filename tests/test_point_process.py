@@ -1,6 +1,7 @@
 """Sampling layer: seeded streams, Poisson configs, push-forward algebra."""
 
 import io
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,7 +12,6 @@ from sushilab.dynamics import RankOneMachine, Translation, chacon3_recipe
 from sushilab.point_process import (
     PointConfig,
     Rng,
-    WeightedConfig,
     count,
     count_replicates,
     dissociation_check,
@@ -147,9 +147,63 @@ def test_push_forward_machine_round_trip():
 
 
 def test_push_forward_weighted():
-    c = WeightedConfig(((F(0), F(2)), (F(1, 2), F(1, 3))), parse_window("[0,1)"))
+    c = PointConfig((F(0), F(1, 2)), parse_window("[0,1)"), weights=(F(2), F(1, 3)))
     out = push_forward(c, Translation(F(1, 4)), 1)
     assert out.atoms == ((F(1, 4), F(2)), (F(3, 4), F(1, 3)))
+
+
+def test_weighted_config_fields():
+    w = parse_window("[0,3)")
+    v = PointConfig((F(0), F(1, 2), F(2)), w, weights=(F(1, 3), 2, "5/2"))
+    assert v.weights == (F(1, 3), F(2), F(5, 2))
+    assert v.atoms == ((F(0), F(1, 3)), (F(1, 2), F(2)), (F(2), F(5, 2)))
+    same = PointConfig(v.points, w, weights=(F(1, 3), F(2), F(5, 2)))
+    assert v == same and hash(v) == hash(same)
+    assert v != PointConfig(v.points, w)
+    assert v != PointConfig(v.points, w, weights=(F(1, 3), F(2), F(3)))
+    assert PointConfig(v.points, w).atoms == tuple((p, F(1)) for p in v.points)
+    assert count(v, w) == F(29, 6) and count(v, parse_window("[1,3)")) == F(5, 2)
+    with pytest.raises(AttributeError):
+        v.weights = None
+    assert PointConfig.of_sum([(F(1), 1), (F(0), F(1, 2)), (F(1), F(1, 3))], w) == \
+        PointConfig((F(0), F(1)), w, weights=(F(1, 2), F(4, 3)))
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"weights": (F(1), 0)}, "weights must be positive"),
+    ({"weights": (F(1), F(-1, 2))}, "weights must be positive"),
+    ({"weights": (F(1),)}, "weights: need one per point, not 1 for 2"),
+    ({"weights": (F(1), F(1)), "marks": (0, 1), "mark_count": 2},
+     "weights and marks do not go together"),
+])
+def test_weighted_config_refusals_name_the_field(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PointConfig((F(0), F(1, 2)), parse_window("[0,1)"), **kwargs)
+
+
+def test_marks_refused_on_a_weighted_config():
+    from sushilab.split_mark import attach_marks
+
+    v = PointConfig((F(0),), parse_window("[0,1)"), weights=(F(2),))
+    with pytest.raises(ValueError, match="weights and marks"):
+        attach_marks(v, [F(1, 2), F(1, 2)], Rng(1))
+
+
+def test_weights_ride_push_forward_and_add_under_superpose():
+    m = RankOneMachine(chacon3_recipe())
+    c = sample_poisson(IntensitySpec(20), parse_window("[0,1/2)"), Rng(5, 0))
+    v = PointConfig(c.points, c.window, weights=[F(i + 1, 3) for i in range(len(c))])
+    fwd = push_forward(v, m, 2)
+    assert fwd.points != tuple(m.apply(p, 2) for p in v.points)  # reordered
+    assert dict(fwd.atoms) == {m.apply(p, 2): w for p, w in v.atoms}
+    w = parse_window("[0,4)")
+    a = PointConfig((F(1), F(3)), w, weights=(F(1, 2), F(2)))
+    b = PointConfig((F(0), F(3)), w)
+    assert superpose(a, b) == superpose(b, a) == \
+        PointConfig((F(0), F(1), F(3)), w, weights=(F(1), F(1, 2), F(3)))
+    assert superpose(a, a) == PointConfig(a.points, w, weights=(F(1), F(4)))
+    # a weighted summand keeps the sum weighted, even on disjoint supports
+    assert superpose(a, PointConfig((F(2),), w)).weights == (F(1, 2), F(1), F(2))
 
 
 def test_superpose_examples():
@@ -161,7 +215,7 @@ def test_superpose_examples():
     b = PointConfig((F(1, 2),), w)
     assert superpose(a, b) == PointConfig((F(0), F(1, 2)), w)
     merged = superpose(a, PointConfig((F(0),), w))
-    assert isinstance(merged, WeightedConfig)
+    assert merged.weights == (F(2),)
     assert merged.atoms == ((F(0), F(2)),)
     with pytest.raises(ValueError):
         superpose(a, PointConfig((F(0),), parse_window("[0,2)")))
@@ -170,7 +224,7 @@ def test_superpose_examples():
 def test_superpose_mixed_types():
     w = parse_window("[0,1)")
     a = PointConfig((F(0), F(1, 2)), w)
-    b = WeightedConfig(((F(1, 2), F(3)),), w)
+    b = PointConfig((F(1, 2),), w, weights=(F(3),))
     out = superpose(a, b)
     assert out.atoms == ((F(0), F(1)), (F(1, 2), F(4)))
 
@@ -179,7 +233,7 @@ def test_count_examples():
     c = PointConfig((F(0), F(1, 2), F(3)), parse_window("[0,4)"))
     assert count(c, parse_window("[0,1)")) == 2
     assert count(c, EMPTY) == 0
-    wc = WeightedConfig(((F(0), F(2)), (F(1, 2), F(1))), parse_window("[0,4)"))
+    wc = PointConfig((F(0), F(1, 2)), parse_window("[0,4)"), weights=(F(2), F(1)))
     assert count(wc, parse_window("[0,1)")) == 3
     with pytest.raises(ValueError):
         count(c, parse_window("[0,5)"))  # exceeds observed window
@@ -246,7 +300,7 @@ def test_coincident_points_resample_then_error():
 
 
 def test_dump_csv_format():
-    c = WeightedConfig(((F(1, 8), F(1, 2)), (F(3, 4), F(2))), parse_window("[0,1)"))
+    c = PointConfig((F(1, 8), F(3, 4)), parse_window("[0,1)"), weights=(F(1, 2), F(2)))
     buf = io.StringIO()
     dump_csv(c, buf, seed=7, stream_id=1, intensity=IntensitySpec(F(1, 2)))
     lines = buf.getvalue().splitlines()

@@ -4,10 +4,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sushilab.dynamics import Translation
 from sushilab.point_process import PointConfig, Rng, count, push_forward, sample_poisson, superpose
 from sushilab.split_mark import (
+    MarkLaw,
+    _draw_marks,
     attach_marks,
     bernoulli_split,
     project_mark_set,
@@ -192,3 +196,45 @@ def test_marks_are_labels_under_push_forward_and_superpose():
     assert count(both, w) == 3
     shared = superpose(mc, PointConfig((F(3),), w, marks=(0,), mark_count=3))
     assert shared.atoms == ((F(1), F(1)), (F(3), F(2)))
+
+
+def test_mark_rule_is_exact_in_the_last_ulp():
+    # the exact cumulative probability of the first two marks is
+    # 1/2 + float(1/3), between the grid uniform u below and the next float
+    # up; that sum rounded to the nearest float is u itself, which would
+    # give mark 2
+    u = 0.8333333333333333
+    assert F(u) < F(1, 2) + F(1 / 3) < F(u) + F(1, 2**53)
+    assert _draw_marks(MarkLaw([1 / 2, 1 / 3, 1 / 6]), [u]).tolist() == [1]
+    assert _draw_marks(MarkLaw([F(1, 2), F(1, 3), F(1, 6)]), [u]).tolist() == [1]
+
+
+def test_mark_law_accepts_floats_within_the_sum_tolerance():
+    assert MarkLaw([0.1] * 10).count == 10
+    assert MarkLaw([0.5, 0.5 + 1e-13]).count == 2
+    for bad in ([0.5, 0.5 + 1e-11], [], [F(3, 2), F(-1, 2)], [F(1, 2), F(1, 3)]):
+        with pytest.raises(ValueError):
+            MarkLaw(bad)
+
+
+@st.composite
+def laws_and_uniforms(draw):
+    """A Fraction law, zero probabilities included, and grid uniforms
+    k * 2**-53, some at or next to a cumulative probability."""
+    weights = draw(st.lists(st.one_of(st.just(0), st.integers(1, 2**60)),
+                            min_size=1, max_size=6).filter(any))
+    probs = [F(w, sum(weights)) for w in weights]
+    cum = [sum(probs[:i + 1], F(0)) for i in range(len(probs))]
+    near = [int(q * 2**53) + d for q in cum for d in (-1, 0, 1)]
+    ks = draw(st.lists(st.one_of(st.integers(0, 2**53 - 1),
+                                 st.sampled_from(near).filter(lambda k: 0 <= k < 2**53)),
+                       min_size=1, max_size=20))
+    return probs, cum, [k / 2**53 for k in ks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(laws_and_uniforms())
+def test_mark_law_gives_the_first_cumulative_above_the_uniform(case):
+    probs, cum, us = case
+    expect = [next(i for i, q in enumerate(cum) if F(u) < q) for u in us]
+    assert _draw_marks(MarkLaw(probs), np.array(us)).tolist() == expect
