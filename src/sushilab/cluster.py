@@ -17,6 +17,13 @@ divisible measure: one independent Poisson ground per catalog entry,
 thinned by the entry probability, then integrated.  The two routes are
 equal in distribution, and the test battery checks exactly that.
 
+:class:`ClusterSampler` is either route with its ground windows built
+once.  It counts whole blocks of replicates without building atoms: the
+grounds are drawn as lattice samples from
+:class:`~sushilab.point_process.Streams`, with the serial samplers' draws,
+and a count is pulled back to them, N(A) = Σ_e Σ_k a_{e,k} N_e(T^{-k} A),
+in exact integers scaled by the weights' common denominator.
+
 The orbit coding pairs every realization made of whole clusters with a
 canonical list of (origin, relative weights): the origin is the earliest
 maximal-weight point of its orbit group, so decoding is exact inversion.
@@ -24,15 +31,28 @@ maximal-weight point of its orbit group, so decoding is exact inversion.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .dynamics import DEFAULT_MAX_STAGE, OrbitError, TransformHandle
-from .point_process import PointConfig, Rng, sample_poisson
-from .split_mark import MarkLaw, attach_marks
+from .point_process import (
+    BLOCK_WORDS,
+    Columns,
+    PointConfig,
+    Rng,
+    Streams,
+    _batch_counts,
+    _check_columns,
+    counts,
+    sample_poisson,
+)
+from .split_mark import LatticeSampler, MarkLaw, attach_marks
 from .windows import EMPTY, IntensitySpec, RatLike, Window, as_rat
 
 __all__ = [
@@ -43,6 +63,7 @@ __all__ = [
     "cluster_buffer",
     "sample_sushi",
     "sample_id_measure",
+    "ClusterSampler",
     "truncate_weights",
     "simplify",
     "phi_encode",
@@ -219,6 +240,124 @@ def sample_id_measure(spec: SushiSpec, core: Window, rng: Rng,
         atoms += _hang_clusters(ground.points, repeat(entry), spec.T, core,
                                 max_stage)
     return PointConfig.of_sum(atoms, core)
+
+
+class ClusterSampler:
+    """The cluster measure of spec on core, by the route "sushi" or "id",
+    with its ground windows built once.
+
+    Called with an Rng, it is :func:`sample_sushi` or
+    :func:`sample_id_measure`.  :meth:`count_blocks` counts whole blocks of
+    replicates with the same draws.  Its grounds are
+    :class:`~sushilab.split_mark.LatticeSampler` samples: sushi's one
+    ground marked by catalog entry, or id's one ground per entry of
+    positive probability, in catalog order, on the same stream.  A count is
+    pulled back to them: N(A) = Σ_e Σ_k a_{e,k} N_e(T^{-k} A), N_e counting
+    the ground points that carry entry e.
+
+    Raises :class:`~sushilab.dynamics.OrbitError` unless T^k resolves on
+    the whole ground window for every offset k hung there: then every
+    cluster a call hangs resolves, and the pull-back counts its atoms.
+    """
+
+    def __init__(self, spec: SushiSpec, core: Window, route: str) -> None:
+        if route not in ("sushi", "id"):
+            raise ValueError("route must be 'sushi' or 'id'")
+        self.spec, self.core, self.route = spec, core, route
+        law = spec.law
+        hung = [(e, entry) for e, entry in enumerate(law.catalog) if entry.prob]
+        # each ground: its sampler, and (selector, entry) per entry it hangs
+        if route == "sushi":
+            self.buffer = cluster_buffer(spec, core)
+            self._grounds = [(LatticeSampler(IntensitySpec(spec.c), self.buffer,
+                                             marks=law.marks), hung)]
+        else:
+            self.buffers = tuple(cluster_buffer(spec, core, entry) if entry.prob
+                                 else None for entry in law.catalog)
+            self._grounds = [(LatticeSampler(IntensitySpec(spec.c * entry.prob),
+                                             self.buffers[e]), [(None, entry)])
+                             for e, entry in hung]
+        for ground, entries in self._grounds:
+            for k in sorted({k for _, entry in entries for k, _ in entry.weights}):
+                spec.T.image_window(ground.window, k)
+
+    def __call__(self, rng: Rng) -> PointConfig:
+        if self.route == "sushi":
+            return sample_sushi(self.spec, self.core, rng, buffer=self.buffer)
+        return sample_id_measure(self.spec, self.core, rng, buffers=self.buffers)
+
+    def count_blocks(self, rng: Rng, R: int,
+                     columns: Columns) -> Iterator[np.ndarray]:
+        """``counts(sample, columns)`` of the sample of each replicate
+        ``rng.child(r)``, r < R, as float64 rows, in blocks of about
+        BLOCK_WORDS words.  A replicate whose positions coincide in any
+        ground is drawn by a call."""
+        _check_columns(self.core, None, columns)
+        pull = _PullBack(self, columns)
+        step = max(1, int(BLOCK_WORDS // sum(
+            ground.cost(cols) for (ground, _), cols in zip(self._grounds, pull.columns))))
+        for lo in range(0, R, step):
+            streams = Streams(rng, min(lo + step, R), lo)
+            used, redo, ground_counts = None, False, []
+            for (ground, _), cols in zip(self._grounds, pull.columns):
+                b = ground.batch(streams, used)
+                ground_counts.append(_batch_counts(b, cols))
+                used, redo = b.used, redo | b.redo
+            block = pull.weigh(np.concatenate(ground_counts, axis=1))
+            for i in np.flatnonzero(redo).tolist():
+                block[i] = counts(self(rng.child(lo + i)), columns)
+            yield block
+
+
+# float64 holds every integer up to 2**53 exactly
+_EXACT = 1 << 53
+
+
+class _PullBack:
+    """The ground columns ``(selector, T^{-k} A)`` of a sampler's grounds
+    for the windows A of columns, and the integer matrix M and scale D with
+    N(A_j) = (ground counts @ M)[j] / D: D is the least common denominator
+    of the weights, and row g of M holds D times the weights its ground
+    column carries to each window."""
+
+    __slots__ = ("columns", "M", "M64", "D", "peak")
+
+    def __init__(self, sampler: ClusterSampler, columns: Columns) -> None:
+        T, pulled = sampler.spec.T, {}  # (k, j) -> T^{-k} A_j
+        terms, self.columns, base = [], [], 0  # terms: (ground column, j, weight)
+        for _, entries in sampler._grounds:
+            at: dict = {}  # ground column -> its index in this ground
+            for sel, entry in entries:
+                for k, a in entry.weights:
+                    for j, A in enumerate(columns.windows):
+                        if (k, j) not in pulled:
+                            pulled[k, j] = T.image_window(A, -k)
+                        key = (sel, pulled[k, j])
+                        terms.append((base + at.setdefault(key, len(at)), j, a))
+            self.columns.append(Columns(list(at)))
+            base += len(at)
+        self.D = math.lcm(*(a.denominator for _, _, a in terms))
+        self.M = np.zeros((base, len(columns)), dtype=object)
+        for g, j, a in terms:
+            self.M[g, j] += a.numerator * (self.D // a.denominator)
+        self.peak = int(self.M.max(initial=0))
+        self.M64 = self.M.astype(np.int64) if self.peak <= _EXACT else None
+
+    def weigh(self, ground: np.ndarray) -> np.ndarray:
+        """The rows (ground @ M) / D, as float64.
+
+        Weights are positive, so no entry exceeds (row total) x max(M).
+        While that and D are at most 2**53, the quotient of the two exact
+        float64 integers is their ratio correctly rounded, as
+        ``float(Fraction)`` rounds it; beyond, the sums are Python integers
+        and their quotients correctly rounded too.
+        """
+        top = int(ground.sum(axis=1).max(initial=0)) * self.peak
+        if self.M64 is not None and self.D <= _EXACT and top <= _EXACT:
+            return (ground @ self.M64) / self.D
+        num = ground.astype(object) @ self.M
+        return np.array([[n / self.D for n in row] for row in num.tolist()],
+                        dtype=np.float64).reshape(num.shape)
 
 
 def truncate_weights(v: PointConfig, eps: RatLike) -> PointConfig:

@@ -6,9 +6,10 @@ of named checks.  run() validates everything before sampling, executes
 the battery on deterministic per-item streams, and emits a manifest whose
 content is a pure function of (spec, seed): rerunning reproduces every
 report byte for byte.  Wall time is the single manifest field excluded
-from that contract.  The lattice constructions count blocks of replicates
-at once, the others one replicate at a time, on the same streams; run()
-accepts ``threads`` for compatibility only.
+from that contract.  Every construction counts whole blocks of replicates
+at once, the cluster ones by pulling their counts back to lattice grounds;
+the exact checks and the realization dumps sample one replicate at a time,
+on the same streams.  run() accepts ``threads`` for compatibility only.
 
 Numbers in spec files use exact rational literals ("3/200") and window
 literals ("[0,1)+[2,3)") so configuration round-trips without float loss.
@@ -31,12 +32,10 @@ import numpy as np
 from .cluster import (
     ClusterEntry,
     ClusterLaw,
+    ClusterSampler,
     SushiSpec,
-    cluster_buffer,
     phi_decode,
     phi_encode,
-    sample_id_measure,
-    sample_sushi,
     sushi_mean,
     sushi_variance,
     unit_intensity_c,
@@ -322,20 +321,20 @@ def _build_plan(spec: ExperimentSpec) -> _Plan:
         except ValueError as exc:
             raise ValueError(f"params: {exc}") from exc
         return _Plan(kind, T, IntensitySpec(c), W, W,
-                     _cluster_sampler(kind, sspec, W), sushi=sspec)
+                     _cluster_sampler(sspec, W, kind), sushi=sspec)
     raise ValueError(f"construction: unknown kind {kind}")
 
 
-def _cluster_sampler(kind: str, sspec: SushiSpec,
-                     W: Window) -> Callable[[Rng], object]:
-    """Sampler of the cluster construction ``kind`` on W, with its ground
-    windows built once rather than once per replicate."""
-    if kind == "sushi":
-        buffer = cluster_buffer(sspec, W)
-        return lambda rng: sample_sushi(sspec, W, rng, buffer=buffer)
-    buffers = tuple(cluster_buffer(sspec, W, e) if e.prob else None
-                    for e in sspec.law.catalog)
-    return lambda rng: sample_id_measure(sspec, W, rng, buffers=buffers)
+def _cluster_sampler(sspec: SushiSpec, W: Window, route: str) -> ClusterSampler:
+    """The cluster sampler of route on W, refusing a law whose clusters T
+    cannot hang from every point of their ground window, and a window
+    outside T's space."""
+    try:
+        return ClusterSampler(sspec, W, route)
+    except OrbitError as exc:
+        raise ValueError(f"params.law: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"window: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +398,26 @@ def _check_selectors(plan: _Plan, item: Mapping, at: str) -> None:
                          f"groups, at most one per {plan.selector}")
     if test == "cesaro":
         indices.append(("K", item.get("K", [0]), len(item["windows"])))
-    if test == "two_sample_vs" and item.get("other", "id") not in ("sushi", "id"):
-        raise ValueError(f"{at}.other: must be sushi or id")
+    if test == "two_sample_vs":
+        other = _other_route(plan, item)
+        if other not in _CLUSTER:
+            raise ValueError(f"{at}.other: must be sushi or id")
+        try:
+            _cluster_sampler(plan.sushi, plan.sampling_window, other)
+        except ValueError as exc:
+            raise ValueError(f"{at}.other: {exc}") from exc
+    if test in _INTEGER_TESTS and plan.sushi is not None:
+        fraction = next((a for e in plan.sushi.law.catalog if e.prob
+                         for _, a in e.weights if a.denominator != 1), None)
+        if fraction is not None:
+            raise ValueError(f"{at}.test: {test} needs integer counts, but "
+                             f"params.law hangs the weight {fraction}")
+    if test == "moment_fit":
+        for A in dict.fromkeys(A for tup in default_design(item.get("n", 2))
+                               for A in tup):
+            if not plan.observed.covers(A):
+                raise ValueError(f"{at}.n: moment_fit's design window {A} "
+                                 f"exceeds observed window {plan.observed}")
     for key, values, bound in indices:
         if not isinstance(values, list) or \
                 (key == "pair" and len(values) != 2) or \
@@ -410,6 +427,11 @@ def _check_selectors(plan: _Plan, item: Mapping, at: str) -> None:
                              f"{what.get(key, 'an integer')} in [0, {bound})")
     if test == "cesaro":
         _check_cesaro_shifts(plan, item, f"{at}.windows")
+
+
+def _other_route(plan: _Plan, item: Mapping) -> str:
+    """The cluster route two_sample_vs compares the plan's with."""
+    return item.get("other", "sushi" if plan.kind == "id" else "id")
 
 
 def _check_cesaro_shifts(plan: _Plan, item: Mapping, at: str) -> None:
@@ -599,11 +621,11 @@ def _run_round_trip(plan, spec, item, rng):
 
 
 def _run_two_sample_vs(plan, spec, item, rng):
-    other = item.get("other", "sushi" if plan.kind == "id" else "id")
+    other = _other_route(plan, item)
     w = _item_window(plan, item)
     R = _item_R(spec, item)
     level = float(item.get("level", 0.001))
-    other_sample = _cluster_sampler(other, plan.sushi, plan.sampling_window)
+    other_sample = _cluster_sampler(plan.sushi, plan.sampling_window, other)
     a = count_matrix(plan.sample, [(None, w)], R, rng.child(0))[:, 0]
     b = count_matrix(other_sample, [(None, w)], R, rng.child(1))[:, 0]
     ia, ib = _integers(a, "two_sample_vs"), _integers(b, "two_sample_vs")
@@ -638,6 +660,9 @@ def _run_cesaro(plan, spec, item, rng):
 
 _MARKED = ("split", "mark")
 _CLUSTER = ("sushi", "id")
+# the tests that read integer counts, refused at load on a cluster law that
+# hangs a non-integer weight
+_INTEGER_TESTS = ("poisson_gof", "dispersion", "two_sample_vs")
 _WINDOW = (True, parse_window)
 
 # Each test: its runner, the constructions that can run it, and the item

@@ -14,8 +14,9 @@ Every estimate here reads one replicate x column count matrix
 (:func:`count_matrix`, one :func:`~sushilab.point_process.counts` row per
 replicate) and takes its products and sums with numpy, left to right.  A
 sampler that counts whole blocks of replicates at once (a
-:class:`~sushilab.split_mark.LatticeSampler`) fills the matrix block by
-block, with the same rows.
+:class:`~sushilab.split_mark.LatticeSampler` or a
+:class:`~sushilab.cluster.ClusterSampler`) fills the matrix block by block,
+with the same rows.
 """
 
 from __future__ import annotations

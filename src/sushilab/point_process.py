@@ -861,19 +861,22 @@ def _sort_runs(ks: np.ndarray, seg: np.ndarray) -> np.ndarray:
 
 
 def _poisson_batch(intensity: IntensitySpec, window: Window,
-                   streams: Streams) -> _Batch:
-    """:func:`sample_poisson` of every row of streams: one count word per
+                   streams: Streams, used: np.ndarray | None = None) -> _Batch:
+    """:func:`sample_poisson` of every row of streams, row i from its word
+    ``used[i]`` on (from word 0 when used is None): one count word per
     frame, then the position words, sorted per (row, frame)."""
     alpha = intensity.alpha
     layout = _layout(alpha.numerator, alpha.denominator, window)
     nf, n = len(layout.frames), len(streams)
-    us = _uniforms(streams.words(np.arange(n)[:, None], np.arange(nf)))
+    start = np.zeros(n, dtype=np.int64) if used is None else used
+    us = _uniforms(streams.words(np.arange(n)[:, None],
+                                 start[:, None] + np.arange(nf)))
     sizes = np.empty((n, nf), dtype=np.int64)
     for f, lam in enumerate(layout.means):
         sizes[:, f] = poisson_cdf_table(lam).searchsorted(us[:, f], side="left")
     row = np.repeat(np.arange(n), sizes.sum(axis=1))
     frame = np.repeat(np.tile(np.arange(nf), n), sizes.ravel())
-    ks = _grid_index(streams.words(row, nf + _rank_in_row(row, n)))
+    ks = _grid_index(streams.words(row, start[row] + nf + _rank_in_row(row, n)))
     seg = row * nf + frame
     ks = _sort_runs(ks, seg)
     redo = np.zeros(n, dtype=bool)
@@ -882,7 +885,7 @@ def _poisson_batch(intensity: IntensitySpec, window: Window,
         keep = ~redo[row]
         row, frame, ks = row[keep], frame[keep], ks[keep]
     return _Batch(streams=streams, layout=layout, window=window,
-                  row=row, frame=frame, ks=ks, used=nf + sizes.sum(axis=1),
+                  row=row, frame=frame, ks=ks, used=start + nf + sizes.sum(axis=1),
                   redo=redo)
 
 

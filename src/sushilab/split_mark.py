@@ -226,20 +226,28 @@ class LatticeSampler:
             return separation_thin(c, self.kappa)
         return c
 
+    def cost(self, columns: Columns) -> float:
+        """A replicate's share of a block counted on columns, in words."""
+        return self._words + self._slots * len(columns.edges)
+
+    def batch(self, streams: Streams, used: np.ndarray | None = None) -> _Batch:
+        """The samples of every row of streams, as calls draw them, row i
+        from its word ``used[i]`` on (from word 0 when used is None)."""
+        b = _poisson_batch(self.intensity, self.window, streams, used)
+        if self.marks is not None:
+            b = _mark_batch(b, self.marks)
+        if self.kappa is not None:
+            b = _thin_batch(b, self.kappa)
+        return b
+
     def count_blocks(self, rng: Rng, R: int,
                      columns: Columns) -> Iterator[np.ndarray]:
         """``counts(sample, columns)`` of the sample of each replicate
         ``rng.child(r)``, r < R, as int64 rows, in blocks of about
         BLOCK_WORDS words."""
-        cost = self._words + self._slots * len(columns.edges)
-        step = max(1, int(BLOCK_WORDS // cost))
+        step = max(1, int(BLOCK_WORDS // self.cost(columns)))
         for lo in range(0, R, step):
-            b = _poisson_batch(self.intensity, self.window,
-                               Streams(rng, min(lo + step, R), lo))
-            if self.marks is not None:
-                b = _mark_batch(b, self.marks)
-            if self.kappa is not None:
-                b = _thin_batch(b, self.kappa)
+            b = self.batch(Streams(rng, min(lo + step, R), lo))
             block = _batch_counts(b, columns)
             for i in np.flatnonzero(b.redo).tolist():
                 block[i] = counts(self(rng.child(lo + i)), columns)

@@ -284,6 +284,90 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match=re.escape(message)):
             run(ExperimentSpec.from_dict(d))
 
+    @pytest.mark.parametrize("transformation,window,construction,law,item,message", [
+        ("infinite-chacon", "[0,4)", "sushi", [{"prob": "1", "weights": {"0": "1", "1": "1"}}],
+         {"test": "intensity"}, "params.law: T^-1 undefined at 0"),
+        ("infinite-chacon", "[1,5)", "id", [{"prob": "1", "weights": {"0": "1", "40": "1"}}],
+         {"test": "intensity"}, "params.law: T^-40 undefined at 1"),
+        # the ground window resolves, but not every cluster hung from it
+        ("infinite-chacon", "[1/3,1)", "sushi",
+         [{"prob": "1", "weights": {"-1": "1", "1": "1"}}],
+         {"test": "intensity"}, "params.law: T^-1 undefined at 0"),
+        # the id route resolves, the sushi route it is compared with does not
+        ("infinite-chacon", "[1/3,1)", "id",
+         [{"prob": "1/2", "weights": {"1": "1"}}, {"prob": "1/2", "weights": {"-1": "1"}}],
+         {"test": "two_sample_vs"}, "battery[1].other: params.law: T^-1 undefined at 0"),
+        ("chacon3", "[-1,1)", "sushi", [{"prob": "1", "weights": {"0": "1", "1": "1"}}],
+         {"test": "intensity"}, "window: window [-1,1) is outside the machine space"),
+    ])
+    def test_non_resolving_cluster_images_refused_before_sampling(
+            self, monkeypatch, transformation, window, construction, law, item,
+            message):
+        from sushilab import cluster, experiment
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the spec was validated")
+
+        monkeypatch.setattr(experiment, "Rng", no_sampling)
+        monkeypatch.setattr(cluster, "sample_poisson", no_sampling)
+        d = minimal_spec(transformation=transformation, window=window,
+                         construction=construction, params={"c": "1/2", "law": law},
+                         battery=[{"test": "intensity"}, item])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(ExperimentSpec.from_dict(d))
+
+    @pytest.mark.parametrize("window,item,message", [
+        ("[5,9)", {"test": "moment_fit"},
+         "battery[1].n: moment_fit's design window [0,1) exceeds observed window [5,9)"),
+        ("[0,2)", {"test": "moment_fit", "n": 3},
+         "battery[1].n: moment_fit's design window [2,3) exceeds observed window [0,2)"),
+    ])
+    def test_moment_fit_design_checked_before_sampling(self, monkeypatch, window,
+                                                        item, message):
+        from sushilab import experiment
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the spec was validated")
+
+        monkeypatch.setattr(experiment, "Rng", no_sampling)
+        d = minimal_spec(window=window, battery=[{"test": "intensity"}, item])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(ExperimentSpec.from_dict(d))
+
+    def test_moment_fit_design_inside_the_window_loads(self):
+        ExperimentSpec.from_dict(minimal_spec(window="[0,2)",
+                                              battery=[{"test": "moment_fit"}]))
+
+    @pytest.mark.parametrize("construction,law", [
+        ("sushi", [{"prob": "1", "weights": {"0": "1/2"}}]),
+        ("id", [{"prob": "1/2", "weights": {"0": "2"}},
+                {"prob": "1/2", "weights": {"0": "1", "1": "3/2"}}]),
+    ])
+    @pytest.mark.parametrize("item", [{"test": "poisson_gof", "replicates": 1000},
+                                      {"test": "dispersion"},
+                                      {"test": "two_sample_vs"}])
+    def test_integer_count_tests_refused_on_non_integer_laws_before_sampling(
+            self, monkeypatch, construction, law, item):
+        from sushilab import cluster, experiment
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the spec was validated")
+
+        monkeypatch.setattr(experiment, "Rng", no_sampling)
+        monkeypatch.setattr(cluster, "sample_poisson", no_sampling)
+        d = minimal_spec(construction=construction, params={"c": "1/2", "law": law},
+                         battery=[{"test": "intensity"}, item])
+        with pytest.raises(ValueError, match=re.escape(
+                f"battery[1].test: {item['test']} needs integer counts, but "
+                f"params.law hangs the weight ")):
+            run(ExperimentSpec.from_dict(d))
+
+    def test_never_hung_non_integer_weight_keeps_integer_tests(self):
+        law = [{"prob": "1", "weights": {"0": "1"}}, {"prob": "0", "weights": {"0": "1/2"}}]
+        d = minimal_spec(construction="sushi", params={"c": "1/2", "law": law},
+                         battery=[{"test": "dispersion"}], replicates=200)
+        assert len(run(ExperimentSpec.from_dict(d)).reports) == 1
+
     def test_two_sample_other_checked_at_load(self):
         d = minimal_spec(construction="sushi",
                          params={"c": "1/2", "law": [{"prob": "1", "weights": {"0": "1"}}]},

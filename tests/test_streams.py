@@ -1,7 +1,8 @@
 """Batched replicate streams agree with numpy and with the serial sampler.
 
 ``Streams`` words are compared with ``PCG64(SeedSequence((seed, sid)))``
-itself, and every batched count matrix with the serial loop
+itself, and every batched count matrix, of the lattice and the cluster
+constructions alike, with the serial loop
 ``counts(plan.sample(rng.child(r)), columns)`` that it replaces.
 """
 
@@ -13,11 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sushilab import point_process, split_mark
+from sushilab import cluster, point_process, split_mark
+from sushilab.cluster import ClusterEntry, ClusterLaw, SushiSpec
+from sushilab.dynamics import (RankOneMachine, Translation, chacon3_recipe,
+                               infinite_chacon_recipe)
 from sushilab.experiment import ExperimentSpec, _build_plan
 from sushilab.moments import count_matrix, diagonal_weight
-from sushilab.point_process import Columns, Rng, Streams, counts
-from sushilab.windows import Interval, Window
+from sushilab.point_process import Columns, Rng, Streams, counts, sample_poisson
+from sushilab.windows import IntensitySpec, Interval, Window
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -234,3 +238,175 @@ def test_batched_columns_checked_as_serial():
         count_matrix(plan.sample, [(0, Window.span(3, 5))], 10, Rng(1))
     with pytest.raises(ValueError, match="column selector 2 names no component"):
         count_matrix(plan.sample, [(2, Window.span(0, 1))], 10, Rng(1))
+
+
+# ---------------------------------------------------------------------------
+# cluster measures: grounds drawn from Streams, counts pulled back
+
+
+def serial_cluster_matrix(sampler, columns, R, rng) -> np.ndarray:
+    cols = Columns(columns)
+    return np.array([counts(sampler(rng.child(r)), cols)
+                     for r in range(R)]).reshape(R, len(cols))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(0, MASK64), st.data())
+def test_poisson_batch_from_used_words_is_the_next_sample(seed, sid, data):
+    # two grounds read one after another from each row's stream, as
+    # sample_id_measure reads its grounds from one Rng
+    rng, R = Rng(seed, sid), data.draw(st.integers(1, 12))
+    draws = [(IntensitySpec(data.draw(st.sampled_from([F(1, 2), F(3), F(1500)]))),
+              data.draw(windows())) for _ in range(3)]
+    draws = [(a, W if a.alpha < 1500 else Window.span(0, 1)) for a, W in draws]
+    streams, used, batches = Streams(rng, R), None, []
+    for intensity, W in draws:
+        batches.append(point_process._poisson_batch(intensity, W, streams, used))
+        used = batches[-1].used
+    for r in range(R):
+        g = rng.child(r)
+        for b, (intensity, W) in zip(batches, draws):
+            c = sample_poisson(intensity, W, g)
+            mine = b.row == r
+            for f, ks in enumerate(c._ks):
+                assert np.array_equal(b.ks[mine & (b.frame == f)], ks)
+        # the next word of the row is the next word of the serial stream
+        word = streams.words(np.array([r]), used[r:r + 1])
+        assert point_process._uniforms(word)[0] == g.random()
+
+
+_CHACON3_LEVELS = None
+
+
+def chacon3_levels():
+    """Stage-3 levels of chacon3 on which T^-1..T^2 resolve all around."""
+    global _CHACON3_LEVELS
+    if _CHACON3_LEVELS is None:
+        T = RankOneMachine(chacon3_recipe(), label="chacon3")
+        T.grow_to(3)
+        _CHACON3_LEVELS = (T, T.tower[2][3:36])
+    return _CHACON3_LEVELS
+
+
+@st.composite
+def cluster_cases(draw):
+    """(transformation, multi-part core, ground scale, law): every cluster
+    of the law resolves on its ground window."""
+    kind = draw(st.sampled_from(["translation", "chacon3", "infinite-chacon"]))
+    if kind == "translation":
+        T, core, scales = Translation(1), draw(windows()), [F(1, 2), F(3)]
+        if core.is_empty:
+            core = Window.span(0, 1)
+    elif kind == "chacon3":
+        T, levels = chacon3_levels()
+        picked = draw(st.lists(st.sampled_from(levels), min_size=1, max_size=4))
+        core, scales = Window(sorted(set(picked), key=lambda p: p.lo)), [F(10), F(60)]
+    else:
+        T = RankOneMachine(infinite_chacon_recipe(), label="infinite-chacon")
+        core = draw(st.sampled_from([Window.span(2, 3), Window.span(3, 4),
+                                     Window([Interval(2, 3), Interval(F(7, 2), 4)])]))
+        scales = [F(1, 2), F(3)]
+    offsets = st.lists(st.integers(-1, 2), min_size=1, max_size=4, unique=True)
+    weights = st.sampled_from([F(1), F(2), F(1, 2), F(2, 3), F(5, 4)])
+    rows = draw(st.lists(st.tuples(offsets, st.lists(weights, min_size=4, max_size=4),
+                                   st.integers(0, 3)), min_size=1, max_size=3))
+    if not any(n for _, _, n in rows):
+        rows[0] = (rows[0][0], rows[0][1], 1)
+    total = sum(n for _, _, n in rows)
+    law = ClusterLaw([ClusterEntry(dict(zip(ks, ws)), F(n, total))
+                      for ks, ws, n in rows])
+    return T, core, draw(st.sampled_from(scales)), law
+
+
+@settings(max_examples=60, deadline=None)
+@given(cluster_cases(), st.sampled_from(["sushi", "id"]), st.integers(1, 30),
+       st.integers(0, 2**32), st.sampled_from([32, 300, 3000]), st.data())
+def test_batched_cluster_counts_equal_serial_counts(case, route, R, seed, block,
+                                                    data):
+    T, core, c, law = case
+    sampler = cluster.ClusterSampler(SushiSpec(c, law, T), core, route)
+    cols = [(None, data.draw(sub_windows(core)))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    rng = Rng(seed, 11)
+    with mock.patch.object(cluster, "BLOCK_WORDS", block):
+        batched = count_matrix(sampler, cols, R, rng)
+    assert batched.dtype == np.float64
+    assert np.array_equal(batched, serial_cluster_matrix(sampler, cols, R, rng))
+
+
+def pair_law(*weights) -> ClusterLaw:
+    return ClusterLaw([ClusterEntry({k: a for k, a in enumerate(ws)}, F(1, len(weights)))
+                       for ws in weights])
+
+
+@pytest.mark.parametrize("route", ["sushi", "id"])
+def test_cluster_blocks_split_replicates_unevenly(route):
+    law = ClusterLaw([ClusterEntry({0: 2}, F(1, 3)), ClusterEntry({0: 1, 1: 1}, F(2, 3)),
+                      ClusterEntry({-1: F(1, 2)}, 0)])
+    sampler = cluster.ClusterSampler(SushiSpec(F(1, 2), law, Translation(1)),
+                                     Window([Interval(0, 3), Interval(4, 6)]), route)
+    cols = [(None, Window.span(0, 1)), (None, Window([Interval(1, 2), Interval(4, 5)]))]
+    rng, R = Rng(20260823, 9), 1001
+    serial = serial_cluster_matrix(sampler, cols, R, rng)
+    with mock.patch.object(cluster, "BLOCK_WORDS", 400):
+        blocks = list(sampler.count_blocks(rng, R, Columns(cols)))
+    assert len(blocks) > 2 and R % len(blocks[0]) != 0
+    assert np.array_equal(np.concatenate(blocks), serial)
+
+
+@pytest.mark.parametrize("route", ["sushi", "id"])
+@pytest.mark.parametrize("law", [
+    pair_law([F(1, 3**34)], [F(1, 3**34), F(2, 3**34)]),  # D = 3**34 > 2**53
+    pair_law([2**60 + 1], [1, 3]),  # D x weight > 2**53
+    pair_law([2**50], [F(1, 3)]),  # a row of more than 2 points passes 2**53
+])
+def test_pull_back_past_2_53_is_exact(route, law):
+    sampler = cluster.ClusterSampler(SushiSpec(F(3), law, Translation(1)),
+                                     Window.span(0, 4), route)
+    cols = [(None, Window.span(0, 4)), (None, Window([Interval(0, 1), Interval(2, 3)]))]
+    pull = cluster._PullBack(sampler, Columns(cols))
+    assert pull.D > 2**53 or pull.M64 is None or pull.M.max() == 3 * 2**50
+    rng, R = Rng(3, 3), 200
+    assert np.array_equal(count_matrix(sampler, cols, R, rng),
+                          serial_cluster_matrix(sampler, cols, R, rng))
+
+
+def test_id_collisions_in_first_and_later_grounds_take_the_serial_resample(
+        monkeypatch):
+    coarse_grid(monkeypatch, 12)
+    law = ClusterLaw([ClusterEntry({0: 2}, F(1, 2)), ClusterEntry({0: 1, 1: 1}, F(1, 2))])
+    sampler = cluster.ClusterSampler(SushiSpec(F(4), law, Translation(1)),
+                                     Window.span(0, 4), "id")
+    rng, R = Rng(20260823, 17), 1000
+    cols = [(None, Window.span(0, 4)), (None, Window([Interval(1, 2), Interval(3, 4)]))]
+    streams, used, redo = Streams(rng, R), None, []
+    for ground, _ in sampler._grounds:
+        b = ground.batch(streams, used)
+        used = b.used
+        redo.append(b.redo)
+    assert redo[0].sum() >= 3 and (redo[1] & ~redo[0]).sum() >= 3
+    assert np.array_equal(count_matrix(sampler, cols, R, rng),
+                          serial_cluster_matrix(sampler, cols, R, rng))
+
+
+def test_sushi_ground_collisions_take_the_serial_resample(monkeypatch):
+    coarse_grid(monkeypatch, 12)
+    law = ClusterLaw([ClusterEntry({0: 2}, F(1, 2)), ClusterEntry({0: 1, 1: 1}, F(1, 2))])
+    sampler = cluster.ClusterSampler(SushiSpec(F(2), law, Translation(1)),
+                                     Window.span(0, 4), "sushi")
+    rng, R = Rng(20260823, 19), 1000
+    cols = [(None, Window.span(0, 4)), (None, Window.span(F(1, 2), 3))]
+    ground = sampler._grounds[0][0]
+    assert ground.batch(Streams(rng, R)).redo.sum() >= 3
+    assert np.array_equal(count_matrix(sampler, cols, R, rng),
+                          serial_cluster_matrix(sampler, cols, R, rng))
+
+
+def test_batched_cluster_columns_checked_as_serial():
+    law = ClusterLaw([ClusterEntry({0: 1, 1: 1}, 1)])
+    sampler = cluster.ClusterSampler(SushiSpec(1, law, Translation(1)),
+                                     Window.span(0, 4), "sushi")
+    with pytest.raises(ValueError, match=r"window \[3,5\) exceeds observed window"):
+        count_matrix(sampler, [(None, Window.span(3, 5))], 10, Rng(1))
+    with pytest.raises(ValueError, match="column selector 0 names no component"):
+        count_matrix(sampler, [(0, Window.span(0, 1))], 10, Rng(1))
