@@ -256,8 +256,9 @@ class ClusterSampler:
     the ground points that carry entry e.
 
     Raises :class:`~sushilab.dynamics.OrbitError` unless T^k resolves on
-    the whole ground window for every offset k hung there: then every
-    cluster a call hangs resolves, and the pull-back counts its atoms.
+    the whole ground window for every offset k hung there, and ValueError
+    when that window leaves T's space: then every cluster a call hangs
+    resolves, and the pull-back counts its atoms.
     """
 
     def __init__(self, spec: SushiSpec, core: Window, route: str) -> None:
@@ -278,6 +279,8 @@ class ClusterSampler:
                                              self.buffers[e]), [(None, entry)])
                              for e, entry in hung]
         for ground, entries in self._grounds:
+            if not ground.window.is_empty:  # T^0 too needs its points in T's space
+                spec.T.apply(ground.window.parts[0].lo, 0)
             for k in sorted({k for _, entry in entries for k, _ in entry.weights}):
                 spec.T.image_window(ground.window, k)
 

@@ -7,6 +7,7 @@ constructions alike, with the serial loop
 """
 
 from fractions import Fraction as F
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
@@ -253,7 +254,7 @@ def serial_cluster_matrix(sampler, columns, R, rng) -> np.ndarray:
 @settings(max_examples=40, deadline=None)
 @given(seeds, st.integers(0, MASK64), st.data())
 def test_poisson_batch_from_used_words_is_the_next_sample(seed, sid, data):
-    # two grounds read one after another from each row's stream, as
+    # grounds read one after another from each row's stream, as
     # sample_id_measure reads its grounds from one Rng
     rng, R = Rng(seed, sid), data.draw(st.integers(1, 12))
     draws = [(IntensitySpec(data.draw(st.sampled_from([F(1, 2), F(3), F(1500)]))),
@@ -275,17 +276,12 @@ def test_poisson_batch_from_used_words_is_the_next_sample(seed, sid, data):
         assert point_process._uniforms(word)[0] == g.random()
 
 
-_CHACON3_LEVELS = None
-
-
+@lru_cache(maxsize=None)
 def chacon3_levels():
-    """Stage-3 levels of chacon3 on which T^-1..T^2 resolve all around."""
-    global _CHACON3_LEVELS
-    if _CHACON3_LEVELS is None:
-        T = RankOneMachine(chacon3_recipe(), label="chacon3")
-        T.grow_to(3)
-        _CHACON3_LEVELS = (T, T.tower[2][3:36])
-    return _CHACON3_LEVELS
+    """chacon3, and its stage-3 levels on which T^-1..T^2 resolve all around."""
+    T = RankOneMachine(chacon3_recipe(), label="chacon3")
+    T.grow_to(3)
+    return T, T.tower[2][3:36]
 
 
 @st.composite
