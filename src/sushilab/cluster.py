@@ -279,8 +279,6 @@ class ClusterSampler:
                                              self.buffers[e]), [(None, entry)])
                              for e, entry in hung]
         for ground, entries in self._grounds:
-            if not ground.window.is_empty:  # T^0 too needs its points in T's space
-                spec.T.apply(ground.window.parts[0].lo, 0)
             for k in sorted({k for _, entry in entries for k, _ in entry.weights}):
                 spec.T.image_window(ground.window, k)
 

@@ -342,10 +342,12 @@ class RankOneMachine:
         defined there, and is translated whole.  A point that needs more
         than ``max_stage`` stages raises :class:`OrbitError` naming it.
         """
-        if w.is_empty or k == 0:
+        if w.is_empty:
             return w
         if w.parts[0].lo < self._base.lo:
             raise ValueError(f"window {w} is outside the machine space")
+        if k == 0:
+            return w
         width = self._base.length
         pieces: list[Interval] = []
         for part in w.parts:

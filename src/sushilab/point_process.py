@@ -290,15 +290,21 @@ class Streams:
         return self._inc[0].size
 
     def words(self, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Word k (from 0) of stream rows, elementwise, as uint64."""
+        """Word k (from 0) of stream rows, elementwise, as uint64.
+
+        The uint64 products wrap by design; they are taken on arrays of at
+        least one dimension, since numpy warns of overflow only on scalars.
+        """
         rows, k = np.broadcast_arrays(rows, np.asarray(k) + 1)
+        shape = rows.shape
+        rows, k = np.atleast_1d(rows, k)
         m, c = _jumps(max(6, int(k.max(initial=0)).bit_length()))
         s = (self._state[0][rows], self._state[1][rows])
         inc = (self._inc[0][rows], self._inc[1][rows])
         hi, lo = _add128(_mul128((m[0][k], m[1][k]), s),
                          _mul128((c[0][k], c[1][k]), inc))
         v, r = hi ^ lo, hi >> _U64(58)  # XSL-RR output
-        return (v >> r) | (v << ((_U64(64) - r) & _U64(63)))
+        return ((v >> r) | (v << ((_U64(64) - r) & _U64(63)))).reshape(shape)[()]
 
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:

@@ -93,6 +93,20 @@ def test_apply_identity_and_errors():
         m.apply(F(-1, 2), 1)
 
 
+def test_power_zero_checks_the_machine_space():
+    # T^0 is checked like every other power: a window reaching below the
+    # base is refused, an empty one is its own image
+    m = chacon()
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="outside the machine space"):
+            m.image_window(parse_window("[-1,1)"), k)
+        with pytest.raises(ValueError, match="outside the machine space"):
+            m.apply(-1, k)
+    assert m.image_window(Window([]), 0).is_empty
+    w = parse_window("[1/3,2/3)")
+    assert m.image_window(w, 0) == w
+
+
 def test_orbit_error_fields_and_fail_fast():
     # the top level's right edge can never be mapped forward: the needed
     # sliver stays within a bounded distance of the tower top at every stage

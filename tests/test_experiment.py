@@ -299,9 +299,9 @@ class TestSpecParsing:
          {"test": "two_sample_vs"}, "battery[1].other: params.law: T^-1 undefined at 0"),
         ("chacon3", "[-1,1)", "sushi", [{"prob": "1", "weights": {"0": "1", "1": "1"}}],
          {"test": "intensity"}, "window: window [-1,1) is outside the machine space"),
-        # T^0 hangs no image, but its ground points must lie in T's space
+        # T^0 hangs no image, but its ground window must lie in T's space
         ("chacon3", "[-1,1)", "id", [{"prob": "1", "weights": {"0": "1"}}],
-         {"test": "intensity"}, "window: point -1 is outside the machine space"),
+         {"test": "intensity"}, "window: window [-1,1) is outside the machine space"),
     ])
     def test_non_resolving_cluster_images_refused_before_sampling(
             self, monkeypatch, transformation, window, construction, law, item,

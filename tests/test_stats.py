@@ -1,10 +1,19 @@
 """Test battery internals: reports, GOF, dispersion, factorization checks."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats as sps
 
+from sushilab import stats
 from sushilab.dynamics import RankOneMachine, Translation, chacon3_recipe
 from sushilab.point_process import PointConfig, Rng, count_replicates, sample_poisson
 from sushilab.split_mark import attach_marks
@@ -239,3 +248,57 @@ class TestCorrelation:
     def test_constant_guard(self):
         with pytest.raises(ValueError):
             correlation_check([1] * 100, list(range(100)))
+
+
+# the scipy.stats calls that the chi-square checks made, taking the
+# arguments of the scipy.special ufuncs that replaced them
+SCIPY_STATS = {
+    "chdtrc": lambda df, x: sps.chi2.sf(x, df),
+    "_poisson_pmf": lambda k, mean: float(sps.poisson.pmf(k, mean)),
+}
+
+
+def _outcome(check):
+    try:
+        return check().to_dict()
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1000, 2500),
+       st.floats(0.5, 40), st.floats(0.8, 1.25), st.integers(0, 2),
+       st.floats(-50, 50), st.floats(-50, 50), st.floats(1, 50))
+def test_p_values_equal_scipy_stats(seed, R, mean, ratio, coupling,
+                                    estimate, target, stderr):
+    gen = np.random.default_rng(seed)
+    a = gen.poisson(mean, R)
+    b = gen.poisson(mean * ratio, R) + coupling * a
+    for rep in (z_test_report("z", estimate, target, stderr, 0.01, seed, R),
+                correlation_check(a, b)):
+        assert rep.p_value == float(2 * sps.norm.sf(abs(rep.statistic)))
+    pooled = np.concatenate([a, b])
+    for alt in ("under", "over", "two-sided"):
+        rep = dispersion_index_test(pooled, alternative=alt)
+        lo = float(sps.chi2.cdf(rep.statistic, 2 * R - 1))
+        hi = float(sps.chi2.sf(rep.statistic, 2 * R - 1))
+        assert rep.p_value == {"under": lo, "over": hi,
+                               "two-sided": min(1.0, 2 * min(lo, hi))}[alt]
+    # degrees of freedom and Poisson bins stay inside these two checks:
+    # run them again with the scipy.stats calls in place of the ufuncs
+    checks = [lambda: poisson_gof(a, mean * ratio),
+              lambda: two_sample_count_test(a, b)]
+    got = [_outcome(check) for check in checks]
+    with mock.patch.multiple(stats, **SCIPY_STATS):
+        assert got == [_outcome(check) for check in checks]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sushilab, sushilab.cli; "
+         "print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

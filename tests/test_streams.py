@@ -6,6 +6,7 @@ constructions alike, with the serial loop
 ``counts(plan.sample(rng.child(r)), columns)`` that it replaces.
 """
 
+import warnings
 from fractions import Fraction as F
 from functools import lru_cache
 from unittest import mock
@@ -75,6 +76,18 @@ def test_stream_words_at_any_offset(seed, sid, k, start):
     for i in range(3):
         ref = numpy_words(seed, rng.child(start + i).stream_id, k + 5)
         assert np.array_equal(s.words(i, np.arange(k, k + 5)), ref[k:])
+
+
+def test_scalar_words_wrap_without_warning():
+    # the uint64 products wrap by design; scalar operands must not warn
+    s = Streams(Rng(3, 0), 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        word = s.words(2, 7)
+        row = s.words(np.array([2]), np.array([7]))
+    assert np.shape(word) == ()
+    assert row.tolist() == [7458623605411624229]
+    assert word == row[0]
 
 
 @settings(max_examples=30, deadline=None)

@@ -139,10 +139,12 @@ class TowerOracle:
         Every sliver of ``w`` must reach a defined level within ``max_stage``
         stages, otherwise :class:`OrbitError` names the unresolved point.
         """
-        if w.is_empty or k == 0:
+        if w.is_empty:
             return w
         if w.parts[0].lo < self._base.lo:
             raise ValueError(f"window {w} is outside the machine space")
+        if k == 0:
+            return w
         while True:
             stage, width, los, sorted_los, order, frontier = self._state
             pieces: list[Interval] = []
