@@ -17,8 +17,8 @@ Layers, bottom up:
 * cli           the `sushi-lab` command line front end
 
 Everything downstream of a seed is deterministic: reruns reproduce reports
-byte for byte.  Replicates run serially; ``threads`` arguments are accepted
-for compatibility only.
+byte for byte.  Replicates run serially; the ``threads`` argument of
+``run`` and ``replicate_matrix`` is accepted for compatibility only.
 """
 
 from .windows import (

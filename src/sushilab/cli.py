@@ -201,9 +201,6 @@ def _cmd_sushi(args) -> int:
     return _finish(summary, spec, plan, args.out)
 
 
-_THREADS_HELP = "accepted for compatibility; replicates run serially"
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sushi-lab",
@@ -213,7 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute a spec file or battery preset")
     p.add_argument("spec", help="path to a JSON spec, or a preset name")
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; replicates run serially")
     p.add_argument("--out", default=None, help="directory for artifacts")
     p.add_argument("--raw", action="store_true",
                    help="also write per-replicate CSVs for every item")
@@ -234,7 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", default=window)
         p.add_argument("--replicates", type=int, default=2000)
         p.add_argument("--seed", type=int, default=20260823)
-        p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("split", help="independent splitting summary")

@@ -33,14 +33,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import DEFAULT_MAX_STAGE, OrbitError, TransformHandle
+from .dynamics import OrbitError, TransformHandle
 from .point_process import (
     BLOCK_WORDS,
     Columns,
@@ -134,17 +134,11 @@ class SushiSpec:
     c: Fraction
     law: ClusterLaw
     T: TransformHandle
-    K_support: int = field(default=-1)
 
     def __post_init__(self):
         object.__setattr__(self, "c", as_rat(self.c))
         if self.c <= 0:
             raise ValueError("ground intensity scale must be positive")
-        reach = self.law.reach
-        if self.K_support < 0:
-            object.__setattr__(self, "K_support", reach)
-        elif self.K_support < reach:
-            raise ValueError("K_support smaller than the catalog's orbit reach")
 
 
 @dataclass(frozen=True)
@@ -177,28 +171,26 @@ class EncodedCluster:
 
 
 def cluster_buffer(spec: SushiSpec, core: Window,
-                   entry: ClusterEntry | None = None,
-                   max_stage: int = DEFAULT_MAX_STAGE) -> Window:
+                   entry: ClusterEntry | None = None) -> Window:
     """Ground window of the clusters that can reach core: the union of
     T^{-k}(core) over the orbit offsets k of one catalog entry, or of the
     whole law when entry is None."""
     entries = spec.law.catalog if entry is None else (entry,)
     buf = EMPTY
     for k in sorted({k for e in entries for k, _ in e.weights}):
-        buf = buf.union(spec.T.image_window(core, -k, max_stage=max_stage))
+        buf = buf.union(spec.T.image_window(core, -k))
     return buf
 
 
 def _hang_clusters(ground: Sequence[Fraction], entries: Iterable[ClusterEntry],
-                   T: TransformHandle, core: Window, max_stage: int):
+                   T: TransformHandle, core: Window):
     """The atoms (T^k x, a_k) in core of each ground point x's cluster."""
-    atoms = ((T.apply(x, k, max_stage=max_stage), a)
+    atoms = ((T.apply(x, k), a)
              for x, entry in zip(ground, entries) for k, a in entry.weights)
     return [(p, a) for p, a in atoms if p in core]
 
 
 def sample_sushi(spec: SushiSpec, core: Window, rng: Rng,
-                 max_stage: int = DEFAULT_MAX_STAGE,
                  buffer: Window | None = None) -> PointConfig:
     """Direct cluster sampler restricted to the core window.
 
@@ -209,16 +201,15 @@ def sample_sushi(spec: SushiSpec, core: Window, rng: Rng,
     once.
     """
     if buffer is None:
-        buffer = cluster_buffer(spec, core, max_stage=max_stage)
+        buffer = cluster_buffer(spec, core)
     ground = attach_marks(sample_poisson(IntensitySpec(spec.c), buffer, rng),
                           spec.law.marks, rng)
     entries = [spec.law.catalog[m] for m in ground.marks.tolist()]
     return PointConfig.of_sum(_hang_clusters(ground.points, entries, spec.T,
-                                             core, max_stage), core)
+                                             core), core)
 
 
 def sample_id_measure(spec: SushiSpec, core: Window, rng: Rng,
-                      max_stage: int = DEFAULT_MAX_STAGE,
                       buffers: Sequence[Window] | None = None) -> PointConfig:
     """Poisson-integral sampler: one independent ground per catalog entry.
 
@@ -234,11 +225,10 @@ def sample_id_measure(spec: SushiSpec, core: Window, rng: Rng,
     for i, entry in enumerate(spec.law.catalog):
         if entry.prob == 0:
             continue
-        buffer = (cluster_buffer(spec, core, entry, max_stage)
+        buffer = (cluster_buffer(spec, core, entry)
                   if buffers is None else buffers[i])
         ground = sample_poisson(IntensitySpec(spec.c * entry.prob), buffer, rng)
-        atoms += _hang_clusters(ground.points, repeat(entry), spec.T, core,
-                                max_stage)
+        atoms += _hang_clusters(ground.points, repeat(entry), spec.T, core)
     return PointConfig.of_sum(atoms, core)
 
 
@@ -390,8 +380,7 @@ def sushi_mean(spec: SushiSpec, A: Window) -> Fraction:
     return spec.c * spec.law.mean_total_weight * A.length
 
 
-def sushi_variance(spec: SushiSpec, A: Window,
-                   max_stage: int = DEFAULT_MAX_STAGE) -> Fraction:
+def sushi_variance(spec: SushiSpec, A: Window) -> Fraction:
     """Closed-form Var(N(A)) = c Σ_e p_e Σ_{k,l} a_k a_l mu(A ∩ T^{k-l}A).
 
     This is the second moment of the Poisson integral: the ground is
@@ -403,9 +392,7 @@ def sushi_variance(spec: SushiSpec, A: Window,
 
     def overlap(d: int) -> Fraction:
         if d not in overlaps:
-            overlaps[d] = A.intersect(
-                spec.T.image_window(A, d, max_stage=max_stage)
-            ).length
+            overlaps[d] = A.intersect(spec.T.image_window(A, d)).length
         return overlaps[d]
 
     total = Fraction(0)
@@ -418,8 +405,7 @@ def sushi_variance(spec: SushiSpec, A: Window,
     return spec.c * total
 
 
-def _orbit_groups(v: PointConfig, T: TransformHandle, K_max: int,
-                  max_stage: int):
+def _orbit_groups(v: PointConfig, T: TransformHandle, K_max: int):
     """Partition atoms into orbit groups within +-K_max steps."""
     support = dict(v.atoms)
     seen: set[Fraction] = set()
@@ -433,7 +419,7 @@ def _orbit_groups(v: PointConfig, T: TransformHandle, K_max: int,
             y = p
             for j in range(1, K_max + 1):
                 try:
-                    y = T.apply(y, sgn, max_stage=max_stage)
+                    y = T.apply(y, sgn)
                 except OrbitError:
                     # unresolvable direction: scan stops, the group splits;
                     # decoding stays exact, the boundary guard stays sound
@@ -446,8 +432,7 @@ def _orbit_groups(v: PointConfig, T: TransformHandle, K_max: int,
 
 
 def _touches_boundary(anchor: Fraction, rel: dict[int, Fraction],
-                      T: TransformHandle, K_max: int, window: Window,
-                      max_stage: int) -> bool:
+                      T: TransformHandle, K_max: int, window: Window) -> bool:
     """Could unobserved cluster mass exist beyond the window edge?
 
     True when some orbit position within K_max of an observed member falls
@@ -460,7 +445,7 @@ def _touches_boundary(anchor: Fraction, rel: dict[int, Fraction],
         if j in rel:
             continue
         try:
-            pos = T.apply(anchor, j, max_stage=max_stage)
+            pos = T.apply(anchor, j)
         except OrbitError:
             return True
         if pos not in window:
@@ -468,32 +453,26 @@ def _touches_boundary(anchor: Fraction, rel: dict[int, Fraction],
     return False
 
 
-def phi_encode(v: PointConfig, T: TransformHandle, K_max: int,
-               boundary: str = "drop",
-               max_stage: int = DEFAULT_MAX_STAGE) -> list[EncodedCluster]:
+def phi_encode(v: PointConfig, T: TransformHandle,
+               K_max: int) -> list[EncodedCluster]:
     """Canonical orbit coding of a realization built from whole clusters.
 
     Atoms are grouped by exact orbit scans up to K_max steps; each group is
     encoded relative to its origin, the earliest position carrying the
-    maximal weight.  Groups whose K_max-reach leaves the window are either
-    dropped with a counted warning (default) or rejected, per ``boundary``
-    ("drop" | "error"): their full extent is unobservable.
+    maximal weight.  Groups whose K_max-reach leaves the window are dropped,
+    since their full extent is unobservable: one ``UserWarning`` counts
+    them, so a caller that must refuse a dropped group turns warnings into
+    errors (``warnings.simplefilter("error")``).
     """
-    if boundary not in ("drop", "error"):
-        raise ValueError("boundary must be 'drop' or 'error'")
     out = []
     dropped = 0
-    for anchor, rel in _orbit_groups(v, T, K_max, max_stage):
-        if _touches_boundary(anchor, rel, T, K_max, v.window, max_stage):
-            if boundary == "error":
-                raise ValueError(
-                    f"orbit group at {anchor} reaches the window boundary"
-                )
+    for anchor, rel in _orbit_groups(v, T, K_max):
+        if _touches_boundary(anchor, rel, T, K_max, v.window):
             dropped += 1
             continue
         wmax = max(rel.values())
         origin_j = min(j for j, w in rel.items() if w == wmax)
-        origin = T.apply(anchor, origin_j, max_stage=max_stage)
+        origin = T.apply(anchor, origin_j)
         out.append(EncodedCluster(
             origin, {j - origin_j: w for j, w in rel.items()}
         ))
@@ -505,8 +484,7 @@ def phi_encode(v: PointConfig, T: TransformHandle, K_max: int,
 
 
 def phi_decode(enc: Sequence[EncodedCluster], T: TransformHandle,
-               window: Window | None = None,
-               max_stage: int = DEFAULT_MAX_STAGE) -> PointConfig:
+               window: Window | None = None) -> PointConfig:
     """Inverse coding: place each cluster's weights along its orbit.
 
     Two clusters claiming one support point is an error, not a merge: the
@@ -515,7 +493,7 @@ def phi_decode(enc: Sequence[EncodedCluster], T: TransformHandle,
     acc: dict[Fraction, Fraction] = {}
     for cluster in enc:
         for j, b in cluster.weights:
-            pos = T.apply(cluster.origin, j, max_stage=max_stage)
+            pos = T.apply(cluster.origin, j)
             if pos in acc:
                 raise ValueError(f"support collision at {pos}")
             acc[pos] = b

@@ -137,7 +137,7 @@ class _Stage:
     """Table of one stage of a rank-one column.
 
     Positions are integers in units of this stage's level width, counted
-    from the left end of the base interval.  Stage ``s`` stacks ``cuts``
+    from 0, the left end of the base interval.  Stage ``s`` stacks ``cuts``
     copies of the stage ``s - 1`` column, each cut to the new width and
     followed by its fresh spacer levels, which are allocated left to right
     from the old frontier.
@@ -156,11 +156,11 @@ class _Stage:
 class RankOneMachine:
     """Lazily grown cutting-and-stacking transformation.
 
-    The machine starts from a single base interval (default ``[0, 1)``) and
-    keeps one small table per built stage (:class:`_Stage`): the column
-    height, the level width, the frontier of the space, where each copy of
-    the previous column starts and how many spacers sit on each copy.  No
-    level is ever stored.  A query is resolved at the first stage where it
+    The machine starts from the base interval ``[0, 1)`` and keeps one
+    small table per built stage (:class:`_Stage`): the column height, the
+    level width, the frontier of the space, where each copy of the previous
+    column starts and how many spacers sit on each copy.  No level is ever
+    stored.  A query is resolved at the first stage where it
     is defined: :meth:`apply` finds the stage at which ``x`` is born (the
     base, or the spacers of some stage), follows ``x`` down the stages until
     ``T^k`` is defined on its level, and rebuilds the target level's left
@@ -169,20 +169,16 @@ class RankOneMachine:
     operations.
 
     ``stage`` is the deepest stage built so far; the space is exactly
-    ``[base.lo, frontier)`` at that stage, tiled by its levels.
+    ``[0, frontier)`` at that stage, tiled by its levels.
     """
 
     def __init__(
         self,
         recipe: RankOneRecipe,
-        base: Interval | None = None,
         label: str | None = None,
     ) -> None:
         self._recipe = recipe
-        self._base = base if base is not None else Interval(Fraction(0), Fraction(1))
         self._label = label
-        lo, width = self._base.lo, self._base.length
-        self._frac = (lo.numerator, lo.denominator, width.numerator, width.denominator)
         # stage -> table; setdefault keeps the first table published for a
         # stage, and keys stay contiguous because a stage is built from the
         # one below it
@@ -196,9 +192,9 @@ class RankOneMachine:
 
     @property
     def space(self) -> Window:
-        """Currently built part of the space, ``[base.lo, frontier)``."""
+        """Currently built part of the space, ``[0, frontier)``."""
         t = self._tables[self.stage]
-        return Window([Interval(self._base.lo, self._at(t.frontier, t.scale))])
+        return Window([Interval(Fraction(0), Fraction(t.frontier, t.scale))])
 
     @property
     def tower(self) -> tuple[Interval, int, tuple[Interval, ...]]:
@@ -207,7 +203,7 @@ class RankOneMachine:
         s = self.stage
         scale = self._tables[s].scale
         levels = tuple(
-            Interval(self._at(u, scale), self._at(u + 1, scale))
+            Interval(Fraction(u, scale), Fraction(u + 1, scale))
             for u in self._level_units(s)
         )
         return levels[0], len(levels), levels
@@ -220,11 +216,6 @@ class RankOneMachine:
 
     def __str__(self) -> str:
         return self._label or f"RankOneMachine(stage={self.stage})"
-
-    def _at(self, units: int, scale: int) -> Fraction:
-        """``base.lo + units * base.length / scale``."""
-        lp, lq, wp, wq = self._frac
-        return Fraction(lp * wq * scale + wp * lq * units, lq * wq * scale)
 
     def _level_units(self, stage: int) -> list[int]:
         """Left ends of the stage's levels, bottom to top, in level widths."""
@@ -278,10 +269,8 @@ class RankOneMachine:
 
         Raises :class:`OrbitError` when ``s`` would exceed ``max_stage``.
         """
-        lp, lq, wp, wq = self._frac
-        # (x - base.lo) / base.length as a/d, not reduced
-        d = x.denominator * lq * wp
-        q, n = divmod((x.numerator * lq - lp * x.denominator) * wq, d)
+        d = x.denominator
+        q, n = divmod(x.numerator, d)
         s = 0
         t = self._tables[0]
         while q >= t.frontier:  # not born yet: x is a spacer of a later stage
@@ -322,12 +311,12 @@ class RankOneMachine:
                 break
             units += j * (scale // t.scale)
             s -= 1
-        return self._at(units * d + n, scale * d)
+        return Fraction(units * d + n, scale * d)
 
     def apply(self, x: RatLike, k: int = 1, max_stage: int = DEFAULT_MAX_STAGE) -> Fraction:
         """Exact ``T^k x``, resolved at the first stage where it is defined."""
         x = as_rat(x)
-        if x < self._base.lo:
+        if x < 0:
             raise ValueError(f"point {x} is outside the machine space")
         if k == 0:
             return x
@@ -344,17 +333,16 @@ class RankOneMachine:
         """
         if w.is_empty:
             return w
-        if w.parts[0].lo < self._base.lo:
+        if w.parts[0].lo < 0:
             raise ValueError(f"window {w} is outside the machine space")
         if k == 0:
             return w
-        width = self._base.length
         pieces: list[Interval] = []
         for part in w.parts:
             x = part.lo
             while x < part.hi:
                 s, level, n, d = self._locate(x, k, max_stage)
-                end = min(part.hi, x + width * Fraction(d - n, d * self._tables[s].scale))
+                end = min(part.hi, x + Fraction(d - n, d * self._tables[s].scale))
                 y = self._point(s, level + k, n, d)
                 pieces.append(Interval(y, y + (end - x)))
                 x = end

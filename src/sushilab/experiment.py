@@ -102,6 +102,14 @@ TRANSFORMATION_PRESETS: dict[str, str] = {
 }
 
 
+def _rat_at(field: str, value) -> Fraction:
+    """value as an exact rational; a ValueError naming field otherwise."""
+    try:
+        return as_rat(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{field}: {exc}") from exc
+
+
 def resolve_transformation(obj) -> TransformHandle:
     """Transformation from a preset name or a recipe config block."""
     if isinstance(obj, str):
@@ -114,7 +122,7 @@ def resolve_transformation(obj) -> TransformHandle:
     else:
         raise ValueError("transformation: must be a name or a config block")
     if name == "translation":
-        return Translation(as_rat(params.get("step", 1)))
+        return Translation(_rat_at("transformation.step", params.get("step", 1)))
     if name == "chacon3":
         return RankOneMachine(chacon3_recipe(), label="chacon3")
     if name == "infinite-chacon":
@@ -122,9 +130,11 @@ def resolve_transformation(obj) -> TransformHandle:
     if name == "rank-one":
         if "cuts" not in params or "spacers" not in params:
             raise ValueError("transformation: rank-one needs cuts and spacers")
-        return RankOneMachine(
-            recipe_from_arrays(params["cuts"], params["spacers"]), label="rank-one"
-        )
+        try:
+            recipe = recipe_from_arrays(params["cuts"], params["spacers"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"transformation: {exc}") from exc
+        return RankOneMachine(recipe, label="rank-one")
     raise ValueError(f"transformation: unknown preset {name!r}")
 
 
@@ -134,6 +144,8 @@ def parse_law(entries) -> ClusterLaw:
         raise ValueError("law: must be a list of {prob, weights} entries")
     parsed = []
     for i, e in enumerate(entries):
+        if not isinstance(e, Mapping) or not isinstance(e.get("weights"), Mapping):
+            raise ValueError(f"law[{i}]: must be {{prob, weights: {{k: a_k}}}}")
         try:
             weights = {int(k): as_rat(v) for k, v in e["weights"].items()}
             parsed.append(ClusterEntry(weights, as_rat(e["prob"])))
@@ -163,7 +175,7 @@ class ExperimentSpec:
             if field not in d:
                 raise ValueError(f"{field}: required field missing")
             v = d[field]
-            if typ is not None and not isinstance(v, typ):
+            if typ is not None and (not isinstance(v, typ) or isinstance(v, bool)):
                 raise ValueError(f"{field}: expected {typ.__name__}")
             return v
 
@@ -171,7 +183,7 @@ class ExperimentSpec:
         T = resolve_transformation(need("transformation"))
         try:
             intensity = IntensitySpec(as_rat(d.get("intensity", 1)))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"intensity: {exc}") from exc
         try:
             window = parse_window(need("window", str))
@@ -182,7 +194,10 @@ class ExperimentSpec:
             raise ValueError(
                 f"construction: {construction!r} not one of {CONSTRUCTIONS}"
             )
-        params = dict(d.get("params", {}))
+        params = d.get("params", {})
+        if not isinstance(params, Mapping):
+            raise ValueError("params: must be a mapping")
+        params = dict(params)
         battery = d.get("battery", [])
         if not isinstance(battery, Sequence):
             raise ValueError("battery: must be a list of test items")
@@ -196,9 +211,7 @@ class ExperimentSpec:
             if item.get("expect", "pass") not in ("pass", "reject"):
                 raise ValueError(f"battery[{i}]: expect must be pass or reject")
             _, needs, checks = _TESTS[item["test"]]
-            for key, (required, check) in {"window": (False, parse_window),
-                                           "replicates": (False, _int_in(100)),
-                                           **checks}.items():
+            for key, (required, check) in {**_ANY_ITEM, **checks}.items():
                 if key not in item:
                     if required:
                         raise ValueError(
@@ -287,7 +300,10 @@ def _build_plan(spec: ExperimentSpec) -> _Plan:
         raw_probs = params.get(key, params.get("probs"))
         if raw_probs is None:
             raise ValueError(f"params.{key}: required for {kind}")
-        probs = tuple(as_rat(p) for p in raw_probs)
+        if not isinstance(raw_probs, (list, tuple)):
+            raise ValueError(f"params.{key}: must be a list of rationals")
+        probs = tuple(_rat_at(f"params.{key}[{i}]", p)
+                      for i, p in enumerate(raw_probs))
         if any(p < 0 for p in probs) or sum(probs) != 1:
             raise ValueError(f"params.{key}: must be nonnegative, summing to 1")
         # a split is sampled as its marking, with bernoulli_split's draws
@@ -295,7 +311,7 @@ def _build_plan(spec: ExperimentSpec) -> _Plan:
                      LatticeSampler(alphaspec, W, marks=MarkLaw(probs)),
                      probs=probs, selector=selector)
     if kind == "thin":
-        kappa = as_rat(params.get("kappa", 1))
+        kappa = _rat_at("params.kappa", params.get("kappa", 1))
         if kappa <= 0:
             raise ValueError("params.kappa: must be positive")
         core = W.shrink(kappa)
@@ -307,7 +323,7 @@ def _build_plan(spec: ExperimentSpec) -> _Plan:
                      LatticeSampler(alphaspec, W, kappa=kappa), kappa=kappa)
     if kind in ("sushi", "id"):
         law = parse_law(params.get("law", ()))
-        if as_rat(params.get("gamma", 0)) != 0:
+        if _rat_at("params.gamma", params.get("gamma", 0)) != 0:
             raise ValueError("params.gamma: drift must be zero")
         c_raw = params.get("c")
         if c_raw is None:
@@ -315,7 +331,7 @@ def _build_plan(spec: ExperimentSpec) -> _Plan:
         elif c_raw == "unit":
             c = unit_intensity_c(law)
         else:
-            c = as_rat(c_raw)
+            c = _rat_at("params.c", c_raw)
         try:
             sspec = SushiSpec(c, law, T)
         except ValueError as exc:
@@ -363,6 +379,22 @@ def _int_in(lo: int, hi: float = math.inf) -> Callable:
         if type(v) is not int or not lo <= v <= hi:
             raise ValueError(f"must be an integer in {lo}..{hi}")
     return check
+
+
+def _level(v) -> None:
+    """Check that a test level is a number in (0, 1)."""
+    if type(v) not in (int, float) or not 0 < v < 1:
+        raise ValueError("must be a number in (0, 1)")
+
+
+def _boolean(v) -> None:
+    if type(v) is not bool:
+        raise ValueError("must be true or false")
+
+
+def _alternative(v) -> None:
+    if v not in ("under", "over", "two-sided"):
+        raise ValueError("must be under, over or two-sided")
 
 
 def _check_selectors(plan: _Plan, item: Mapping, at: str) -> None:
@@ -603,7 +635,7 @@ def _run_diagonal_weight(plan, spec, item, rng):
 
 
 def _run_round_trip(plan, spec, item, rng):
-    K_max = int(item.get("K_max", 2 * plan.sushi.K_support))
+    K_max = item.get("K_max", 2 * plan.sushi.law.reach)
 
     def failed(v) -> bool:
         with warnings.catch_warnings():
@@ -664,10 +696,14 @@ _CLUSTER = ("sushi", "id")
 # hangs a non-integer weight
 _INTEGER_TESTS = ("poisson_gof", "dispersion", "two_sample_vs")
 _WINDOW = (True, parse_window)
+# the item parameters any test may name, as {key: (required, check)}
+_ANY_ITEM = {"window": (False, parse_window), "replicates": (False, _int_in(100)),
+             "level": (False, _level), "must_pass": (False, _boolean),
+             "raw": (False, _boolean)}
 
 # Each test: its runner, the constructions that can run it, and the item
-# parameters it reads as {key: (required, check)}; any item may also name a
-# ``window``.  A test suits only some constructions when it correlates
+# parameters it reads as {key: (required, check)}, besides those of
+# _ANY_ITEM.  A test suits only some constructions when it correlates
 # split or marked components, needs the orbit coding or second sampler of
 # a cluster measure, a closed-form variance, or simple points (``free``).
 # A split sample is its whole marked realization, so split and mark run
@@ -675,9 +711,11 @@ _WINDOW = (True, parse_window)
 # applies all this before any sampling, and _check_selectors the checks
 # that depend on the construction.
 _TESTS: dict[str, tuple[Callable, tuple[str, ...], dict]] = {
-    "poisson_gof": (_run_poisson_gof, CONSTRUCTIONS, {}),
-    "intensity": (_run_intensity, CONSTRUCTIONS, {}),
-    "dispersion": (_run_dispersion, CONSTRUCTIONS, {}),
+    "poisson_gof": (_run_poisson_gof, CONSTRUCTIONS,
+                    {"mean": (False, lambda v: v == "empirical" or as_rat(v))}),
+    "intensity": (_run_intensity, CONSTRUCTIONS, {"target": (False, as_rat)}),
+    "dispersion": (_run_dispersion, CONSTRUCTIONS,
+                   {"alternative": (False, _alternative)}),
     "covariance": (_run_covariance, CONSTRUCTIONS, {"A": _WINDOW, "B": _WINDOW}),
     "mixed_moment": (_run_mixed_moment, _MARKED,
                      {"groupings": (True, lambda g: list(map(_parse_windows, g)))}),
@@ -688,7 +726,7 @@ _TESTS: dict[str, tuple[Callable, tuple[str, ...], dict]] = {
     "diagonal_weight": (_run_diagonal_weight, CONSTRUCTIONS,
                         {"n": (False, _int_in(1, 4)),
                          "depth": (False, _int_in(0, 12))}),
-    "round_trip": (_run_round_trip, _CLUSTER, {}),
+    "round_trip": (_run_round_trip, _CLUSTER, {"K_max": (False, _int_in(0))}),
     "two_sample_vs": (_run_two_sample_vs, _CLUSTER, {}),
     "variance": (_run_variance, ("poisson", *_MARKED, *_CLUSTER), {}),
     "cesaro": (_run_cesaro, CONSTRUCTIONS,

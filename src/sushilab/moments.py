@@ -304,16 +304,16 @@ def fit_partition_decomposition(
     )
 
 
-def default_design(n: int, unit: Fraction = Fraction(1)) -> list[list[Window]]:
+def default_design(n: int) -> list[list[Window]]:
     """Shipped window-tuple design with an exactly invertible [m_pi] matrix.
 
-    Built from unit-length disjoint windows A=[0,u), B=[u,2u), C=[2u,3u):
+    Built from the unit-length disjoint windows A=[0,1), B=[1,2), C=[2,3):
     n=2 uses {(A,A), (A,B)}; n=3 uses five tuples whose matrix is unit
     upper-triangular in the canonical partition order.
     """
-    A = Window.span(0, unit)
-    B = Window.span(unit, 2 * unit)
-    C = Window.span(2 * unit, 3 * unit)
+    A = Window.span(0, 1)
+    B = Window.span(1, 2)
+    C = Window.span(2, 3)
     if n == 2:
         return [[A, A], [A, B]]
     if n == 3:

@@ -39,8 +39,8 @@ the same edge thresholds, so its counts are those of one
 :func:`sample_poisson` per replicate.
 
 The count-only replication layer (:func:`count_replicates`) reuses the same
-inversion, vectorized over fixed-size chunks of derived streams; its output
-is a pure function of the rng address and the chunk size.
+inversion, vectorized over chunks of :data:`_CHUNK` replicates, one derived
+stream per chunk; its output is a pure function of the rng address.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import DEFAULT_MAX_STAGE, TransformHandle
+from .dynamics import TransformHandle
 from .windows import IntensitySpec, RatLike, Window, as_rat, format_rat
 
 __all__ = [
@@ -82,6 +82,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # Largest Poisson mean one CDF inversion takes; larger parts are cut.
 _MAX_MEAN = 700
+# Replicates that count_replicates draws from one derived stream; a pinned
+# part of its draw order.
+_CHUNK = 1024
 # Size bound of every cache below: each holds per-window data that the
 # replicates of one battery item share, so a few entries suffice.
 _CACHE_SIZE = 256
@@ -599,7 +602,6 @@ def count_replicates(
     cells: Sequence[Window],
     rng: Rng,
     replicates: int,
-    chunk: int = 1024,
 ) -> np.ndarray:
     """Counts over disjoint cells for many independent realizations.
 
@@ -607,9 +609,8 @@ def count_replicates(
     jointly Poisson counts: independent across cells, mean alpha x length.
     A cell whose mean exceeds 700 sums the counts of the fewest equal
     pieces of mean at most 700, drawn one after another.  Replicate r lives
-    in chunk r // chunk, which has its own derived stream, so results do
-    not depend on how chunks are scheduled; for a fixed chunk size the
-    output is a pure function of the rng address.
+    in chunk ``r // _CHUNK`` and reads that chunk's stream ``rng.child(r //
+    _CHUNK)``, so the output is a pure function of the rng address.
     """
     for i, a in enumerate(cells):
         for b in cells[i + 1 :]:
@@ -620,9 +621,9 @@ def count_replicates(
     tables = [poisson_cdf_table(float(mass / m)) for mass, m in zip(masses, pieces)]
     width = sum(pieces)
     out = np.empty((replicates, len(cells)), dtype=np.int64)
-    for c_start in range(0, replicates, chunk):
-        c_stop = min(c_start + chunk, replicates)
-        g = rng.child(c_start // chunk)
+    for c_start in range(0, replicates, _CHUNK):
+        c_stop = min(c_start + _CHUNK, replicates)
+        g = rng.child(c_start // _CHUNK)
         # u values interleave cell-by-cell within a replicate, matching the
         # scalar draw order of repeated poisson_count calls on one stream
         us = g.random_block((c_stop - c_start) * width)
@@ -635,11 +636,10 @@ def count_replicates(
     return out
 
 
-def push_forward(c: PointConfig, T: TransformHandle, k: int,
-                 max_stage: int = DEFAULT_MAX_STAGE) -> PointConfig:
+def push_forward(c: PointConfig, T: TransformHandle, k: int) -> PointConfig:
     """Image configuration under T^k; marks and weights ride along, window follows."""
-    new_window = T.image_window(c.window, k, max_stage=max_stage)
-    images = [T.apply(x, k, max_stage=max_stage) for x in c.points]
+    new_window = T.image_window(c.window, k)
+    images = [T.apply(x, k) for x in c.points]
     order = sorted(range(len(images)), key=images.__getitem__)
     marks = None if c.marks is None else c.marks[order]
     weights = None if c.weights is None else [c.weights[i] for i in order]
@@ -927,23 +927,21 @@ def _batch_counts(b: _Batch, columns: Columns) -> np.ndarray:
     return columns.totals(rank[:, 1::2] - rank[:, ::2])
 
 
-def free_check(c: PointConfig, T: TransformHandle, K: int,
-               max_stage: int = DEFAULT_MAX_STAGE) -> bool:
+def free_check(c: PointConfig, T: TransformHandle, K: int) -> bool:
     """True iff no support point maps onto another under T^k, 0 < |k| <= K."""
     return not _meets(c.points, set(c.points),
-                      [k for k in range(-K, K + 1) if k], T, max_stage)
+                      [k for k in range(-K, K + 1) if k], T)
 
 
 def dissociation_check(c1: PointConfig, c2: PointConfig, T: TransformHandle,
-                       K: int, max_stage: int = DEFAULT_MAX_STAGE) -> bool:
+                       K: int) -> bool:
     """True iff supports never meet under T^k for any |k| <= K (k=0 included)."""
-    return not _meets(c1.points, set(c2.points), range(-K, K + 1), T, max_stage)
+    return not _meets(c1.points, set(c2.points), range(-K, K + 1), T)
 
 
-def _meets(xs, support: set, ks, T: TransformHandle, max_stage: int) -> bool:
+def _meets(xs, support: set, ks, T: TransformHandle) -> bool:
     """Does T^k x lie in support for some k of ks, x of xs?  k by k."""
-    return any(T.apply(x, k, max_stage=max_stage) in support
-               for k in ks for x in xs)
+    return any(T.apply(x, k) in support for k in ks for x in xs)
 
 
 def dump_csv(c: PointConfig, fh: IO[str], *, seed: int | None = None,

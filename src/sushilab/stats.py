@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import chdtr, chdtrc, gammaln, ndtr, xlogy
 
-from .dynamics import DEFAULT_MAX_STAGE, TransformHandle
+from .dynamics import TransformHandle
 from .moments import _products, count_matrix
 from .point_process import Rng
 from .windows import IntensitySpec, Window
@@ -254,7 +254,6 @@ class CesaroFactorization:
 def cesaro_factorization(sampler, T: TransformHandle,
                          windows: Sequence[Window], K: Sequence[int],
                          L: int, R: int, rng: Rng, level: float = 0.01,
-                         max_stage: int = DEFAULT_MAX_STAGE,
                          name: str = "cesaro_factorization") -> CesaroFactorization:
     """Averaged shift-decorrelation of a moment product.
 
@@ -271,7 +270,7 @@ def cesaro_factorization(sampler, T: TransformHandle,
         raise ValueError("L must be at least 1")
     comp = [i for i in range(n) if i not in Kset]
     cols = [(None, windows[i]) for i in [*Kset, *comp]] + [
-        (None, T.image_window(windows[i], -k, max_stage=max_stage))
+        (None, T.image_window(windows[i], -k))
         for k in range(1, L + 1) for i in comp]
     counted = count_matrix(sampler, cols, R, rng)
     base, rest = _products(counted, [len(Kset), len(comp)]).T

@@ -12,6 +12,7 @@ The reference measure is a nonnegative multiple ``alpha`` of length measure;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -33,15 +34,18 @@ RatLike = Union[int, Fraction, float, str]
 def as_rat(value: RatLike) -> Fraction:
     """Convert to an exact rational.
 
-    Strings use the ``a/b`` or plain-integer literal syntax.  Floats convert
-    exactly (binary floats are dyadic rationals); there is no rounding step
-    anywhere in this package.
+    Strings use the ``a/b`` or plain-integer literal syntax.  Finite floats
+    convert exactly (binary floats are dyadic rationals); there is no
+    rounding step anywhere in this package.  An infinite or NaN float
+    raises ValueError, and a bool TypeError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
         return Fraction(value.strip())
-    if isinstance(value, (int, float)):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"cannot interpret {value!r} as a rational")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 

@@ -16,10 +16,10 @@ import numpy as np
 from sushilab.cluster import (
     ClusterEntry,
     ClusterLaw,
+    ClusterSampler,
     SushiSpec,
     phi_decode,
     phi_encode,
-    sample_id_measure,
     sample_sushi,
     sushi_mean,
     sushi_variance,
@@ -28,6 +28,7 @@ from sushilab.cluster import (
 from sushilab.dynamics import RankOneMachine, Translation, chacon3_recipe
 from sushilab.experiment import ExperimentSpec, run
 from sushilab.moments import (
+    count_matrix,
     default_design,
     diagonal_weight,
     fit_partition_decomposition,
@@ -41,7 +42,12 @@ from sushilab.point_process import (
     dissociation_check,
     sample_poisson,
 )
-from sushilab.split_mark import attach_marks, bernoulli_split, separation_thin
+from sushilab.split_mark import (
+    LatticeSampler,
+    attach_marks,
+    bernoulli_split,
+    separation_thin,
+)
 from sushilab.stats import (
     covariance_check,
     dispersion_index_test,
@@ -115,8 +121,7 @@ def test_criterion_03_moment_decomposition():
 
     W2 = Window.span(0, 2)
     fit2 = fit_partition_decomposition(
-        lambda rng: sample_poisson(alpha, W2, rng), 2, default_design(2),
-        50000, Rng(SEED, 3002))
+        LatticeSampler(alpha, W2), 2, default_design(2), 50000, Rng(SEED, 3002))
     for pi in partitions(2):
         target = a ** pi.n_blocks
         assert abs(fit2[pi] - target) <= 3 * fit2.stderrs[pi], (
@@ -124,8 +129,7 @@ def test_criterion_03_moment_decomposition():
 
     W3 = Window.span(0, 3)
     fit3 = fit_partition_decomposition(
-        lambda rng: sample_poisson(alpha, W3, rng), 3, default_design(3),
-        100000, Rng(SEED, 3003))
+        LatticeSampler(alpha, W3), 3, default_design(3), 100000, Rng(SEED, 3003))
     for pi in partitions(3):
         target = a ** pi.n_blocks
         assert abs(fit3[pi] - target) <= 4 * fit3.stderrs[pi], (
@@ -139,15 +143,13 @@ def test_criterion_04_diagonal_weight():
     # refinement estimate at depth 8 within 4 s.e. of alpha * len(A),
     # for n=2 (alpha=1, A=[0,1)) and n=3 (alpha=1/2, A=[0,2)).
     A2 = Window.span(0, 1)
-    res2 = diagonal_weight(
-        lambda rng: sample_poisson(IntensitySpec(1), A2, rng),
-        A2, 2, 8, 20000, Rng(SEED, 4002))
+    res2 = diagonal_weight(LatticeSampler(IntensitySpec(1), A2),
+                           A2, 2, 8, 20000, Rng(SEED, 4002))
     assert abs(res2.value - 1.0) <= 4 * res2.stderr, (res2.value, res2.stderr)
 
     A3 = Window.span(0, 2)
-    res3 = diagonal_weight(
-        lambda rng: sample_poisson(IntensitySpec(Fraction(1, 2)), A3, rng),
-        A3, 3, 8, 20000, Rng(SEED, 4003))
+    res3 = diagonal_weight(LatticeSampler(IntensitySpec(Fraction(1, 2)), A3),
+                           A3, 3, 8, 20000, Rng(SEED, 4003))
     assert abs(res3.value - 1.0) <= 4 * res3.stderr, (res3.value, res3.stderr)
     print(f"PASS criterion 4: diagonal weights n=2 {res2.value:.4f} "
           f"n=3 {res3.value:.4f}, both within 4 s.e. of 1")
@@ -250,17 +252,15 @@ def test_criterion_08_sushi_intensity():
     for i, law in enumerate((LAW_POINT, LAW_PAIR, LAW_TRIPLE)):
         spec = SushiSpec(Fraction(1, 2), law, T1)
         target = float(sushi_mean(spec, A))
-        mat = replicate_matrix(
-            lambda rng: sample_sushi(spec, A, rng),
-            lambda v: [float(count(v, A))], 1, R, Rng(SEED, 8000 + i))
+        mat = count_matrix(ClusterSampler(spec, A, "sushi"), [(None, A)], R,
+                           Rng(SEED, 8000 + i))
         se = mat[:, 0].std(ddof=1) / math.sqrt(R)
         assert abs(mat[:, 0].mean() - target) <= 3 * se, (i, target)
 
         unit = SushiSpec(unit_intensity_c(law), law, T1)
         assert float(sushi_mean(unit, A)) == 6.0
-        umat = replicate_matrix(
-            lambda rng: sample_sushi(unit, A, rng),
-            lambda v: [float(count(v, A))], 1, R, Rng(SEED, 8100 + i))
+        umat = count_matrix(ClusterSampler(unit, A, "sushi"), [(None, A)], R,
+                            Rng(SEED, 8100 + i))
         use = umat[:, 0].std(ddof=1) / math.sqrt(R)
         rate = float(umat[:, 0].mean()) / 6.0
         assert abs(umat[:, 0].mean() - 6.0) <= 3 * use, (i, rate)
@@ -310,21 +310,21 @@ def test_criterion_10_id_identities():
     A = Window.span(0, 4)
     spec = SushiSpec(Fraction(1, 2), LAW_MIXED, T1)
     R = 2000
+    sushi, ident = ClusterSampler(spec, A, "sushi"), ClusterSampler(spec, A, "id")
     worst = 1.0
     for s in range(20):
-        xs = np.array([float(count(sample_sushi(spec, A, Rng(SEED, 100000 + s).child(r)), A))
-                       for r in range(R)], dtype=int)
-        ys = np.array([float(count(sample_id_measure(spec, A, Rng(SEED, 110000 + s).child(r)), A))
-                       for r in range(R)], dtype=int)
+        xs = count_matrix(sushi, [(None, A)], R,
+                          Rng(SEED, 100000 + s))[:, 0].astype(int)
+        ys = count_matrix(ident, [(None, A)], R,
+                          Rng(SEED, 110000 + s))[:, 0].astype(int)
         rep = two_sample_count_test(xs, ys, level=0.001, seed=SEED)
         assert rep.decision == "pass", (s, rep.to_dict())
         worst = min(worst, rep.p_value)
 
     A2 = Window.span(0, 2)
     target = float(sushi_variance(spec, A2))
-    mat = replicate_matrix(
-        lambda rng: sample_id_measure(spec, A2, rng),
-        lambda v: [float(count(v, A2))], 1, 20000, Rng(SEED, 10500))
+    mat = count_matrix(ClusterSampler(spec, A2, "id"), [(None, A2)], 20000,
+                       Rng(SEED, 10500))
     xs = mat[:, 0]
     s2 = xs.var(ddof=1)
     centered = xs - xs.mean()

@@ -124,6 +124,16 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith(line) and not captured.out
 
+    @pytest.mark.parametrize("overrides", [
+        {"intensity": None},
+        {"construction": "sushi", "params": {"law": [{"prob": "1", "weights": [1]}]}},
+    ])
+    def test_wrongly_typed_spec_value_exits_two(self, tmp_path, capsys, overrides):
+        assert main(["run", str(spec_file(tmp_path, **overrides))]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+        assert len(captured.err.splitlines()) == 1
+
     def test_unknown_spec_errors(self, capsys):
         assert main(["run", "no-such-spec.json"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -193,6 +203,13 @@ class TestSummaryCommands:
         assert main(["sushi", "--c", "unit", "--replicates", "300"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["c"] == summary["unit_c"]
+
+    @pytest.mark.parametrize("command", ["split", "thin-separation", "mark", "sushi"])
+    def test_summary_refuses_threads(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
     def test_summary_reruns_byte_identical(self, capsys):
         main(["mark", "--window", "[0,6)", "--replicates", "200"])

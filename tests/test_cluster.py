@@ -76,10 +76,6 @@ class TestTypes:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SushiSpec(0, PAIR_LAW, T1)
-        with pytest.raises(ValueError):
-            SushiSpec(1, PAIR_LAW, T1, K_support=0)
-        assert SushiSpec(1, PAIR_LAW, T1).K_support == 1
-        assert SushiSpec(1, PAIR_LAW, T1, K_support=5).K_support == 5
 
     def test_encoded_cluster_origin_rules(self):
         EncodedCluster(0, {0: 2, 1: 1})
@@ -267,14 +263,6 @@ class TestCoding:
         with pytest.warns(UserWarning, match="dropped 1"):
             enc = phi_encode(v, T1, K_max=2)
         assert enc == [EncodedCluster(5, {0: 1})]
-
-    def test_encode_boundary_error_mode(self):
-        w = parse_window("[0,10)")
-        v = PointConfig((F(1, 2),), w, weights=(F(1),))
-        with pytest.raises(ValueError, match="boundary"):
-            phi_encode(v, T1, K_max=2, boundary="error")
-        with pytest.raises(ValueError):
-            phi_encode(v, T1, K_max=2, boundary="maybe")
 
     def test_encode_machine_tie_uses_orbit_order(self):
         m, core = chacon_level_core()

@@ -379,6 +379,67 @@ class TestSpecParsing:
                 "battery[0].other: must be sushi or id")):
             ExperimentSpec.from_dict(d)
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"intensity": None}, "intensity: cannot interpret None"),
+        ({"intensity": [1]}, "intensity: cannot interpret [1]"),
+        ({"intensity": float("inf")}, "intensity: cannot interpret inf"),
+        ({"intensity": True}, "intensity: cannot interpret True"),
+        ({"seed": True}, "seed: expected int"),
+        ({"params": [1]}, "params: must be a mapping"),
+        ({"construction": "thin", "window": "[-1,5)", "params": {"kappa": [1]}},
+         "params.kappa: cannot interpret [1]"),
+        ({"construction": "split", "params": {"probs": [None, 1]}},
+         "params.probs[0]: cannot interpret None"),
+        ({"construction": "split", "params": {"probs": "1/2,1/2"}},
+         "params.probs: must be a list of rationals"),
+        ({"construction": "sushi",
+          "params": {"c": {}, "law": [{"prob": "1", "weights": {"0": "1"}}]}},
+         "params.c: cannot interpret {}"),
+        ({"construction": "sushi", "params": {"law": [{"prob": "1", "weights": [1]}]}},
+         "law[0]: must be {prob, weights: {k: a_k}}"),
+        ({"transformation": {"preset": "translation", "step": [1]}},
+         "transformation.step: cannot interpret [1]"),
+        ({"transformation": {"cuts": 3, "spacers": [[0, 1, 0]]}}, "transformation: "),
+    ])
+    def test_wrongly_typed_spec_values_named(self, overrides, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec.from_dict(minimal_spec(**overrides))
+
+    @pytest.mark.parametrize("construction,params,item,message", [
+        ("poisson", {}, {"test": "intensity", "level": "x"},
+         "battery[1].level: must be a number in (0, 1)"),
+        ("poisson", {}, {"test": "intensity", "level": 1},
+         "battery[1].level: must be a number in (0, 1)"),
+        ("poisson", {}, {"test": "dispersion", "alternative": "sideways"},
+         "battery[1].alternative: must be under, over or two-sided"),
+        ("sushi", {"c": "1/2", "law": [{"prob": "1", "weights": {"0": "1"}}]},
+         {"test": "round_trip", "K_max": "x"},
+         "battery[1].K_max: must be an integer in 0..inf"),
+        ("poisson", {}, {"test": "intensity", "target": [1]},
+         "battery[1].target: cannot interpret [1]"),
+        ("poisson", {}, {"test": "poisson_gof", "replicates": 1000, "mean": [1]},
+         "battery[1].mean: cannot interpret [1]"),
+        ("poisson", {}, {"test": "poisson_gof", "replicates": 1000, "mean": "mean"},
+         "battery[1].mean: Invalid literal for Fraction: 'mean'"),
+        ("poisson", {}, {"test": "intensity", "must_pass": "no"},
+         "battery[1].must_pass: must be true or false"),
+        ("poisson", {}, {"test": "intensity", "raw": 1},
+         "battery[1].raw: must be true or false"),
+    ])
+    def test_item_parameter_values_checked_before_sampling(
+            self, monkeypatch, construction, params, item, message):
+        from sushilab import cluster, experiment
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the spec was validated")
+
+        monkeypatch.setattr(experiment, "Rng", no_sampling)
+        monkeypatch.setattr(cluster, "sample_poisson", no_sampling)
+        d = minimal_spec(construction=construction, params=params,
+                         battery=[{"test": "intensity"}, item])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(ExperimentSpec.from_dict(d))
+
     def test_from_json(self):
         spec = ExperimentSpec.from_json(json.dumps(minimal_spec()))
         assert spec.seed == 7

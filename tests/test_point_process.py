@@ -95,23 +95,23 @@ def test_count_replicates_matches_scalar_stream():
     spec = IntensitySpec(F(1, 2))
     cells = [parse_window("[0,1)"), parse_window("[2,3)")]
     rng = Rng(77, 5)
-    table = count_replicates(spec, cells, rng, 10, chunk=4)
-    assert table.shape == (10, 2)
-    # chunk 0 holds replicates 0..3 drawn from child stream 0, interleaved
+    table = count_replicates(spec, cells, rng, 1026)
+    assert table.shape == (1026, 2)
+    # chunk 0 holds replicates 0..1023 drawn from child stream 0, interleaved
     # cell-by-cell: identical to repeated scalar poisson_count calls
     g = Rng(77, 5).child(0)
-    expect = [[g.poisson_count(0.5), g.poisson_count(0.5)] for _ in range(4)]
-    assert table[:4].tolist() == expect
-    g = Rng(77, 5).child(2)  # replicates 8..9
+    expect = [[g.poisson_count(0.5), g.poisson_count(0.5)] for _ in range(1024)]
+    assert table[:1024].tolist() == expect
+    g = Rng(77, 5).child(1)  # replicates 1024..1025
     expect = [[g.poisson_count(0.5), g.poisson_count(0.5)] for _ in range(2)]
-    assert table[8:].tolist() == expect
+    assert table[1024:].tolist() == expect
 
 
 def test_count_replicates_chunk_schedule_invariance():
     spec = IntensitySpec(1)
     cells = [parse_window("[0,2)")]
-    a = count_replicates(spec, cells, Rng(3, 1), 100, chunk=16)
-    b = count_replicates(spec, cells, Rng(3, 1), 100, chunk=16)
+    a = count_replicates(spec, cells, Rng(3, 1), 1100)
+    b = count_replicates(spec, cells, Rng(3, 1), 1100)
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         count_replicates(spec, [parse_window("[0,2)"), parse_window("[1,3)")], Rng(1), 4)
@@ -346,7 +346,7 @@ def test_part_above_mean_700_is_cut_into_equal_sub_parts():
 
 def test_count_replicates_above_mean_700():
     cells = [parse_window("[0,701)"), parse_window("[701,702)")]
-    table = count_replicates(IntensitySpec(1), cells, Rng(8, 1), 400, chunk=128)
+    table = count_replicates(IntensitySpec(1), cells, Rng(8, 1), 400)
     assert abs(table[:, 0].mean() - 701) < 5 * np.sqrt(701 / 400)
     # the big cell draws two uniforms per replicate, then the small one
     g = Rng(8, 1).child(0)

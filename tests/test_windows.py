@@ -36,6 +36,11 @@ def test_as_rat_conversions():
     assert as_rat(5) == F(5)
     assert as_rat(0.25) == F(1, 4)  # exact binary float
     assert as_rat(F(2, 6)) == F(1, 3)
+    for v in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="cannot interpret"):
+            as_rat(v)
+    with pytest.raises(TypeError):
+        as_rat(True)
     assert format_rat(F(-3, 7)) == "-3/7"
     assert format_rat(F(4)) == "4"
 
