@@ -17,6 +17,15 @@ Two kinds of transformation are provided:
 All arithmetic is exact; points are rationals and images of windows are
 windows.  When the partial map is undefined at a point up to ``max_stage``
 stages, :class:`OrbitError` is raised; there is no silent approximation.
+
+``T.piecewise(part, k)`` is the piece layer under both: ``T^k`` on an
+interval as a list of translations ``(I, shift)``, plus the residual where
+``T^k`` does not resolve within ``max_stage`` stages, so it never raises.
+A translation is one piece.  A rank-one machine's pieces are the slivers
+that :meth:`RankOneMachine.image_window` walks, a run of spacer levels that
+``T^k`` carries onto spacer levels making one sliver, and adjacent slivers
+with equal shifts merged.  Lattice checks read ``T^k`` from these pieces on
+grid indices instead of applying it point by point.
 """
 
 from __future__ import annotations
@@ -85,6 +94,11 @@ class Translation:
 
     def image_window(self, w: Window, k: int, max_stage: int = DEFAULT_MAX_STAGE) -> Window:
         return w.translate(k * self.step)
+
+    def piecewise(self, part: Interval, k: int, max_stage: int = DEFAULT_MAX_STAGE
+                  ) -> tuple[list[tuple[Interval, Fraction]], Window]:
+        """T^k on part: the one piece ``(part, k * step)``, no residual."""
+        return [(part, k * self.step)], Window()
 
     def __str__(self) -> str:
         return f"Translation({self.step})"
@@ -193,7 +207,14 @@ class RankOneMachine:
     @property
     def space(self) -> Window:
         """Currently built part of the space, ``[0, frontier)``."""
-        t = self._tables[self.stage]
+        return self.space_at(self.stage)
+
+    def space_at(self, stage: int) -> Window:
+        """The space ``[0, frontier)`` that ``stage`` builds.  A stage beyond
+        the deepest built one is built on a throwaway machine, so asking
+        leaves :attr:`stage` at the depth that queries needed."""
+        t = self._tables[stage] if stage <= self.stage else \
+            RankOneMachine(self._recipe)._table(stage)
         return Window([Interval(Fraction(0), Fraction(t.frontier, t.scale))])
 
     @property
@@ -269,14 +290,25 @@ class RankOneMachine:
 
         Raises :class:`OrbitError` when ``s`` would exceed ``max_stage``.
         """
+        s, level, n, d = self._descend(x, k, max_stage)
+        if level is None or not 0 <= level + k < self._tables[s].height:
+            raise OrbitError(x, k, max_stage)
+        return s, level, n, d
+
+    def _descend(self, x: Fraction, k: int,
+                 max_stage: int) -> tuple[int, int | None, int, int]:
+        """``(s, level, n, d)`` as :meth:`_locate` gives them, except where
+        ``T^k`` is undefined at ``x`` up to ``max_stage``: then ``s`` is the
+        last stage looked at and ``level + k`` lies outside its column, or
+        ``level`` is None when ``x`` is not born by ``max_stage``."""
         d = x.denominator
         q, n = divmod(x.numerator, d)
         s = 0
         t = self._tables[0]
         while q >= t.frontier:  # not born yet: x is a spacer of a later stage
+            if s >= max_stage:
+                return s, None, n, d
             s += 1
-            if s > max_stage:
-                raise OrbitError(x, k, max_stage)
             t = self._table(s)
             i, n = divmod(n * t.cuts, d)
             q = q * t.cuts + i
@@ -287,9 +319,9 @@ class RankOneMachine:
         else:
             level = 0
         while not 0 <= level + k < t.height:
+            if s >= max_stage:
+                break
             s += 1
-            if s > max_stage:
-                raise OrbitError(x, k, max_stage)
             t = self._table(s)
             i, n = divmod(n * t.cuts, d)
             level += t.starts[i]
@@ -323,13 +355,81 @@ class RankOneMachine:
         s, level, n, d = self._locate(x, k, max_stage)
         return self._point(s, level + k, n, d)
 
+    @staticmethod
+    def _run(t: _Stage, level: int, k: int) -> int:
+        """How many levels from ``level`` on are spacers of one copy at stage
+        t whose ``T^k`` images are spacers of one copy: the levels of such a
+        run are adjacent in space, and so are their images.  At least 1."""
+        left = []
+        for v in (level, level + k):
+            j = bisect_right(t.starts, v) - 1
+            r = v - t.starts[j] - t.below
+            if r < 0:  # a level of the copy, not a spacer
+                return 1
+            left.append(t.prefix[j + 1] - t.prefix[j] - r)
+        return max(1, min(left))
+
+    def _slivers(self, lo: Fraction, hi: Fraction, k: int, max_stage: int):
+        """Walk ``[lo, hi)``, ``0 <= lo``, ``k != 0``, in slivers ``(a, b,
+        shift)``, left to right: ``T^k y = y + shift`` for y in ``[a, b)``,
+        or shift is None where ``T^k`` does not resolve within max_stage
+        stages.  A sliver runs from a point to the end of its level at the
+        first stage where ``T^k`` is defined there, and on over the rest of
+        a run of spacer levels (:meth:`_run`).  An unresolved sliver is the
+        point's level at max_stage, or all of ``[a, hi)`` when the point is
+        beyond the space that max_stage builds."""
+        x = lo
+        while x < hi:
+            s, level, n, d = self._descend(x, k, max_stage)
+            if level is None:
+                yield x, hi, None
+                return
+            t = self._tables[s]
+            end = x + Fraction(d - n, d * t.scale)
+            if 0 <= level + k < t.height:
+                shift = self._point(s, level + k, n, d) - x
+                end += Fraction(self._run(t, level, k) - 1, t.scale)
+            else:
+                shift = None
+            end = min(end, hi)
+            yield x, end, shift
+            x = end
+
+    def piecewise(self, part: Interval, k: int, max_stage: int = DEFAULT_MAX_STAGE
+                  ) -> tuple[list[tuple[Interval, Fraction]], Window]:
+        """T^k on part as translations: ``(pieces, residual)``.
+
+        ``T^k y = y + shift`` for y in each piece ``(I, shift)``; the pieces,
+        left to right, and the residual tile part.  The residual is where
+        ``T^k`` does not resolve within max_stage stages, and the part of
+        part below 0, outside the space, so this never raises OrbitError.
+        Adjacent slivers with one shift make one piece.
+        """
+        pieces: list[tuple[Interval, Fraction]] = []
+        residual: list[Interval] = []
+        lo = part.lo
+        if lo < 0:
+            residual.append(Interval(lo, min(part.hi, 0)))
+            lo = Fraction(0)
+        if lo >= part.hi:
+            return pieces, Window(residual)
+        slivers = [(lo, part.hi, Fraction(0))] if k == 0 else \
+            self._slivers(lo, part.hi, k, max_stage)
+        for a, b, shift in slivers:
+            if shift is None:
+                residual.append(Interval(a, b))
+            elif pieces and pieces[-1][1] == shift and pieces[-1][0].hi == a:
+                pieces[-1] = (Interval(pieces[-1][0].lo, b), shift)
+            else:
+                pieces.append((Interval(a, b), shift))
+        return pieces, Window(residual)
+
     def image_window(self, w: Window, k: int, max_stage: int = DEFAULT_MAX_STAGE) -> Window:
         """Exact image ``T^k w``; length is preserved.
 
-        Each part is scanned in slivers: a sliver runs from a point to the
-        end of that point's level at the first stage where ``T^k`` is
-        defined there, and is translated whole.  A point that needs more
-        than ``max_stage`` stages raises :class:`OrbitError` naming it.
+        Each part is scanned in the slivers of :meth:`piecewise`, each
+        translated whole.  A point that needs more than ``max_stage`` stages
+        raises :class:`OrbitError` naming it: the first one in scan order.
         """
         if w.is_empty:
             return w
@@ -337,16 +437,13 @@ class RankOneMachine:
             raise ValueError(f"window {w} is outside the machine space")
         if k == 0:
             return w
-        pieces: list[Interval] = []
+        images: list[Interval] = []
         for part in w.parts:
-            x = part.lo
-            while x < part.hi:
-                s, level, n, d = self._locate(x, k, max_stage)
-                end = min(part.hi, x + Fraction(d - n, d * self._tables[s].scale))
-                y = self._point(s, level + k, n, d)
-                pieces.append(Interval(y, y + (end - x)))
-                x = end
-        return Window(pieces)
+            for a, b, shift in self._slivers(part.lo, part.hi, k, max_stage):
+                if shift is None:
+                    raise OrbitError(a, k, max_stage)
+                images.append(Interval(a + shift, b + shift))
+        return Window(images)
 
 
 TransformHandle = Union[Translation, RankOneMachine]

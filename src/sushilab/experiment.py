@@ -7,9 +7,11 @@ the battery on deterministic per-item streams, and emits a manifest whose
 content is a pure function of (spec, seed): rerunning reproduces every
 report byte for byte.  Wall time is the single manifest field excluded
 from that contract.  Every construction counts whole blocks of replicates
-at once, the cluster ones by pulling their counts back to lattice grounds;
-the exact checks and the realization dumps sample one replicate at a time,
-on the same streams.  run() accepts ``threads`` for compatibility only.
+at once, the cluster ones by pulling their counts back to lattice grounds,
+and the exact ``free`` and ``dissociation`` checks compare grid indices of
+the same blocks; ``round_trip`` and the realization dumps sample one
+replicate at a time, on the same streams.  run() accepts ``threads`` for
+compatibility only.
 
 Numbers in spec files use exact rational literals ("3/200") and window
 literals ("[0,1)+[2,3)") so configuration round-trips without float loss.
@@ -41,6 +43,7 @@ from .cluster import (
     unit_intensity_c,
 )
 from .dynamics import (
+    DEFAULT_MAX_STAGE,
     OrbitError,
     RankOneMachine,
     TransformHandle,
@@ -57,7 +60,7 @@ from .moments import (
     partitions,
     replicate_matrix,
 )
-from .point_process import Rng, dissociation_check, dump_csv, free_check
+from .point_process import Rng, dump_csv
 from .split_mark import LatticeSampler, MarkLaw, project_mark_set
 from .stats import (
     TestReport,
@@ -141,16 +144,16 @@ def resolve_transformation(obj) -> TransformHandle:
 def parse_law(entries) -> ClusterLaw:
     """ClusterLaw from config rows {prob, weights: {k: a_k}}, exact."""
     if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)):
-        raise ValueError("law: must be a list of {prob, weights} entries")
+        raise ValueError("params.law: must be a list of {prob, weights} entries")
     parsed = []
     for i, e in enumerate(entries):
         if not isinstance(e, Mapping) or not isinstance(e.get("weights"), Mapping):
-            raise ValueError(f"law[{i}]: must be {{prob, weights: {{k: a_k}}}}")
+            raise ValueError(f"params.law[{i}]: must be {{prob, weights: {{k: a_k}}}}")
         try:
             weights = {int(k): as_rat(v) for k, v in e["weights"].items()}
             parsed.append(ClusterEntry(weights, as_rat(e["prob"])))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"law[{i}]: {exc}") from exc
+            raise ValueError(f"params.law[{i}]: {exc}") from exc
     return ClusterLaw(parsed)
 
 
@@ -459,6 +462,12 @@ def _check_selectors(plan: _Plan, item: Mapping, at: str) -> None:
                              f"{what.get(key, 'an integer')} in [0, {bound})")
     if test == "cesaro":
         _check_cesaro_shifts(plan, item, f"{at}.windows")
+    if test in ("dissociation", "free") and isinstance(plan.T, RankOneMachine):
+        space = plan.T.space_at(DEFAULT_MAX_STAGE)
+        if not space.covers(plan.observed):
+            raise ValueError(f"window: {plan.observed} is not inside the space "
+                             f"{space} that {plan.T} builds in {DEFAULT_MAX_STAGE} "
+                             f"stages, where {at}.test {test} applies T^k")
 
 
 def _other_route(plan: _Plan, item: Mapping) -> str:
@@ -506,14 +515,20 @@ def _expected(plan: _Plan, item: Mapping, w: Window) -> float:
     return float(plan.intensity.alpha * plan.probs[j] * w.length)
 
 
-def _exact_check(plan, spec, item, rng, name: str, failed) -> TestReport:
-    """Zero-tolerance check: statistic = replicates where failed(sample)
-    holds, p = 1 when there are none, else 0."""
-    R = _item_R(spec, item)
-    nfail = int(replicate_matrix(plan.sample, lambda s: [float(failed(s))],
-                                 1, R, rng)[:, 0].sum())
+def _exact_report(spec, item, name: str, nfail: int) -> TestReport:
+    """Zero-tolerance check: statistic = the nfail failed replicates, p = 1
+    when there are none, else 0."""
     return TestReport(name, float(nfail), 1.0 if nfail == 0 else 0.0,
-                      float(item.get("level", 0.5)), spec.seed, R)
+                      float(item.get("level", 0.5)), spec.seed, _item_R(spec, item))
+
+
+def _meet_report(plan, spec, item, rng, pair) -> TestReport:
+    """The exact check of :meth:`LatticeSampler.meet_blocks`: free when
+    pair is None, dissociation of the marks pair otherwise."""
+    K = item.get("K", 8)
+    blocks = plan.sample.meet_blocks(rng, _item_R(spec, item), plan.T, K, pair)
+    return _exact_report(spec, item, f"{item['test']}[K={K}]",
+                         sum(int(b.sum()) for b in blocks))
 
 
 def _run_poisson_gof(plan, spec, item, rng):
@@ -586,20 +601,12 @@ def _run_cross_correlation(plan, spec, item, rng):
 
 
 def _run_dissociation(plan, spec, item, rng):
-    K = item.get("K", 8)
     i, j = item.get("pair", (0, 1))
-    rep = _exact_check(
-        plan, spec, item, rng, f"dissociation[K={K}]",
-        lambda mc: not dissociation_check(project_mark_set(mc, {i}),
-                                          project_mark_set(mc, {j}), plan.T, K))
-    return [rep], {}
+    return [_meet_report(plan, spec, item, rng, (i, j))], {}
 
 
 def _run_free(plan, spec, item, rng):
-    K = item.get("K", 8)
-    rep = _exact_check(plan, spec, item, rng, f"free[K={K}]",
-                       lambda config: not free_check(config, plan.T, K))
-    return [rep], {}
+    return [_meet_report(plan, spec, item, rng, None)], {}
 
 
 def _run_moment_fit(plan, spec, item, rng):
@@ -647,9 +654,10 @@ def _run_round_trip(plan, spec, item, rng):
             enc2 = phi_encode(v2, plan.T, K_max)
         return enc2 != enc or phi_decode(enc2, plan.T, window=plan.observed) != v2
 
-    rep = _exact_check(plan, spec, item, rng, f"round_trip[K_max={K_max}]",
-                       failed)
-    return [rep], {}
+    R = _item_R(spec, item)
+    nfail = int(replicate_matrix(plan.sample, lambda v: [float(failed(v))],
+                                 1, R, rng)[:, 0].sum())
+    return [_exact_report(spec, item, f"round_trip[K_max={K_max}]", nfail)], {}
 
 
 def _run_two_sample_vs(plan, spec, item, rng):
@@ -690,6 +698,12 @@ def _run_cesaro(plan, spec, item, rng):
                           "averages": np.array(res.averages)}
 
 
+# Largest orbit reach K of a dissociation or free item.  Each replicate
+# checks its points against 2K + 1 powers of T, and each power of a rank-one
+# machine costs a piece table, so K bounds the work per replicate; the
+# shipped, test and benchmark specs use K up to 8.
+MAX_K = 1024
+
 _MARKED = ("split", "mark")
 _CLUSTER = ("sushi", "id")
 # the tests that read integer counts, refused at load on a cluster law that
@@ -720,8 +734,9 @@ _TESTS: dict[str, tuple[Callable, tuple[str, ...], dict]] = {
     "mixed_moment": (_run_mixed_moment, _MARKED,
                      {"groupings": (True, lambda g: list(map(_parse_windows, g)))}),
     "cross_correlation": (_run_cross_correlation, _MARKED, {}),
-    "dissociation": (_run_dissociation, _MARKED, {"K": (False, _int_in(0))}),
-    "free": (_run_free, ("poisson", "thin", *_MARKED), {"K": (False, _int_in(1))}),
+    "dissociation": (_run_dissociation, _MARKED, {"K": (False, _int_in(0, MAX_K))}),
+    "free": (_run_free, ("poisson", "thin", *_MARKED),
+             {"K": (False, _int_in(1, MAX_K))}),
     "moment_fit": (_run_moment_fit, CONSTRUCTIONS, {"n": (False, _int_in(2, 3))}),
     "diagonal_weight": (_run_diagonal_weight, CONSTRUCTIONS,
                         {"n": (False, _int_in(1, 4)),
@@ -802,7 +817,11 @@ def run(spec: ExperimentSpec, threads: int = 1, out_dir=None,
     for i, item in enumerate(spec.battery):
         runner = _TESTS[item["test"]][0]
         item_rng = Rng(spec.seed, i + 1)
-        reps, raw = runner(plan, spec, item, item_rng)
+        try:
+            reps, raw = runner(plan, spec, item, item_rng)
+        except OrbitError as exc:  # a point no load check could foresee
+            exc.args = (f"battery[{i}]: {exc}",)
+            raise
         reports.extend(reps)
         expect = item.get("expect", "pass")
         met = all(r.decision == expect for r in reps)

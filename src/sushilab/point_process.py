@@ -38,6 +38,16 @@ replicate reading its own stream in the draw order above, and counted with
 the same edge thresholds, so its counts are those of one
 :func:`sample_poisson` per replicate.
 
+:func:`free_check` and :func:`dissociation_check` ask whether ``T^k x ==
+y`` for points x, y.  On lattice configurations of one layout, and on whole
+blocks, they read ``T^k`` from ``T.piecewise``: a point of frame f with
+index i in a piece moved by s lands on frame g's index ``j`` exactly when
+``f.lo + i * f.width / 2**53 + s == g.lo + j * g.width / 2**53``, a linear
+congruence solved once per (frame, k, piece, frame), so membership is a
+lookup of packed (row, index) keys.  Points in the residual that
+``T.piecewise`` leaves unresolved, and hand-built points, take the
+point-by-point ``Fraction`` path.
+
 The count-only replication layer (:func:`count_replicates`) reuses the same
 inversion, vectorized over chunks of :data:`_CHUNK` replicates, one derived
 stream per chunk; its output is a pure function of the rng address.
@@ -47,7 +57,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -56,8 +66,8 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import TransformHandle
-from .windows import IntensitySpec, RatLike, Window, as_rat, format_rat
+from .dynamics import DEFAULT_MAX_STAGE, TransformHandle
+from .windows import Interval, IntensitySpec, RatLike, Window, as_rat, format_rat
 
 __all__ = [
     "Rng",
@@ -78,6 +88,8 @@ __all__ = [
 
 DYADIC_BITS = 53
 _GRID = 1 << DYADIC_BITS
+# Rows (or runs) that one uint64 key holds above a grid index.
+KEY_ROWS = 1 << (64 - DYADIC_BITS)
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # Largest Poisson mean one CDF inversion takes; larger parts are cut.
@@ -857,7 +869,7 @@ def _sort_runs(ks: np.ndarray, seg: np.ndarray) -> np.ndarray:
     """ks sorted within each run of equal seg, for seg ascending.  Grid
     indices leave 11 bits free, so 2**11 runs at a time sort as one uint64
     key, the run above the index."""
-    out, step = np.empty_like(ks), 1 << (64 - DYADIC_BITS)
+    out, step = np.empty_like(ks), KEY_ROWS
     runs = int(seg[-1]) + 1 if seg.size else 0
     for first in range(0, runs, step):
         lo, hi = seg.searchsorted([first, first + step])
@@ -927,20 +939,192 @@ def _batch_counts(b: _Batch, columns: Columns) -> np.ndarray:
     return columns.totals(rank[:, 1::2] - rank[:, ::2])
 
 
+# ---------------------------------------------------------------------------
+# exact meeting checks: T^k x == y on grid indices, through T's pieces
+
+# The stage at which piece tables stop.  A row with a point in the residual
+# takes the per-point path, which resolves on to DEFAULT_MAX_STAGE as apply
+# does, so the cap changes no outcome, only which rows go point by point.
+# At stage 11 a chacon3 window's residual is about 1e-4 of its length; a
+# twelfth stage would resolve no row the per-point path does not, and would
+# grow chacon3 a stage deeper than the per-point checks of the chacon3-split
+# benchmark spec reach.
+_PIECE_STAGE = DEFAULT_MAX_STAGE - 1
+
+
+def _move(f: _Frame, g: _Frame, shift: Fraction, lo: int, hi: int):
+    """Where the points of frame f with indices in [lo, hi), moved by shift,
+    land on frame g's grid: ``(first, stop, m, j0, r)``, the index i in
+    ``range(first, stop, m)`` landing on index ``j0 + (i - first) // m * r``
+    of g, in ``[0, 2**53)``; None when none lands there.
+
+    ``f.lo + i * f.width / 2**53 + shift == g.lo + j * g.width / 2**53``
+    is ``j = (U + i * P) / D`` for integers U, P > 0, D > 0: a linear
+    congruence in i, solved with a gcd.  Frames of equal width give m = r = 1,
+    the integer shift ``j - i``, if any.
+    """
+    a = (f.lo + shift - g.lo) * _GRID / g.width
+    b = f.width / g.width
+    U, D = a.numerator * b.denominator, a.denominator * b.denominator
+    P = b.numerator * a.denominator
+    e = math.gcd(P, D)
+    if U % e:
+        return None
+    m, r = D // e, P // e
+    i0 = -(U // e) * pow(r, -1, m) % m
+    # 0 <= j < 2**53 holds exactly for -U / P <= i < (2**53 * D - U) / P
+    lo = max(lo, -(U // P))
+    hi = min(hi, -((U - _GRID * D) // P))
+    first = lo + (i0 - lo) % m
+    if first >= hi:
+        return None
+    last = first + (hi - 1 - first) // m * m
+    if last == first:  # one index: m and r, which may be huge, are not read
+        m = r = 1
+    return first, last + 1, m, (U + first * P) // D, r
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _meet_table(T: TransformHandle, layout: _Layout, K: int, zero: bool):
+    """T^k, for 0 < |k| <= K and k = 0 when zero, on the frames of layout:
+    ``(moves, residual)``.  moves lists ``(f, g, first, stop, m, j0, r)``:
+    a point of frame f with an index in ``range(first, stop, m)`` maps onto
+    the point of frame g with index ``j0 + (i - first) // m * r``, for some
+    k.  residual[f] holds the sorted bounds ``[a0, b0, a1, ...]`` of the
+    index ranges of frame f where some T^k does not resolve into pieces."""
+    frames = layout.frames
+    starts = [g.lo for g in frames]
+    moves, residual = [], {}
+    for fi, f in enumerate(frames):
+        part = Interval(f.lo, f.lo + f.width)
+        spans = []
+        for k in range(-K, K + 1):
+            if not (k or zero):
+                continue
+            pieces, rest = T.piecewise(part, k, _PIECE_STAGE)
+            spans += [(f._threshold(I.lo), f._threshold(I.hi)) for I in rest.parts]
+            for I, shift in pieces:
+                lo, hi = f._threshold(I.lo), f._threshold(I.hi)
+                if lo >= hi:
+                    continue
+                # only the frames that the image of I reaches
+                first = max(bisect_right(starts, I.lo + shift) - 1, 0)
+                last = bisect_left(starts, I.hi + shift)
+                for gi in range(first, last):
+                    mv = _move(f, frames[gi], shift, lo, hi)
+                    if mv is not None:
+                        moves.append((fi, gi, *mv))
+        bounds: list[int] = []
+        for lo, hi in sorted(sp for sp in spans if sp[0] < sp[1]):
+            if bounds and lo <= bounds[-1]:
+                bounds[-1] = max(bounds[-1], hi)
+            else:
+                bounds += [lo, hi]
+        if bounds:
+            residual[fi] = np.array(bounds, dtype=np.uint64)
+    return moves, residual
+
+
+def _lattice_meets(T: TransformHandle, layout: _Layout, K: int, zero: bool,
+                   n: int, src: tuple, dst: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Per row r < n, at most KEY_ROWS rows: does ``T^k x == y`` for x a
+    point of src and y one of dst, both of row r, and k as in
+    :func:`_meet_table`?  src and dst are ``(row, frame, ks)`` arrays of
+    lattice points of layout in point order (row by row, frame by frame,
+    sorted in a frame).  Returns ``(meets, unresolved)``: a row with a point
+    of src in the residual of some T^k is unresolved, and its meets entry
+    is left for the caller to decide."""
+    moves, residual = _meet_table(T, layout, K, zero)
+    meets, unresolved = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    srow, sks, scut = _by_frame(src, len(layout.frames))
+    drow, dks, dcut = _by_frame(dst, len(layout.frames))
+    for f, bounds in residual.items():
+        ks = sks[scut[f]:scut[f + 1]]
+        inside = bounds.searchsorted(ks, side="right") % 2 == 1
+        unresolved[srow[scut[f]:scut[f + 1]][inside]] = True
+    dkeys = (drow.astype(np.uint64) << _U64(DYADIC_BITS)) | dks
+    for f, g, first, stop, m, j0, r in moves:
+        keys = dkeys[dcut[g]:dcut[g + 1]]  # ascending: rows, then indices
+        ks = sks[scut[f]:scut[f + 1]]
+        if not (keys.size and ks.size):
+            continue
+        at = np.flatnonzero((ks >= first) & (ks < stop))
+        i = ks[at] - _U64(first)
+        if m > 1:
+            hit = i % _U64(m) == 0
+            at, i = at[hit], i[hit] // _U64(m)
+        q = (srow[scut[f]:scut[f + 1]][at].astype(np.uint64) << _U64(DYADIC_BITS)) \
+            | (i * _U64(r) + _U64(j0))
+        pos = np.minimum(keys.searchsorted(q), keys.size - 1)
+        meets[(q >> _U64(DYADIC_BITS))[keys[pos] == q].astype(np.intp)] = True
+    return meets, unresolved
+
+
+def _by_frame(side: tuple, frames: int) -> tuple:
+    """(row, ks, cut): side's points grouped by frame, frame f's at
+    ``cut[f]:cut[f + 1]``, each group still in row order."""
+    row, frame, ks = side
+    if frames > 1:
+        order = np.argsort(frame, kind="stable")
+        row, frame, ks = row[order], frame[order], ks[order]
+    return row, ks, np.searchsorted(frame, np.arange(frames + 1))
+
+
+def _batch_meets(b: _Batch, T: TransformHandle, K: int,
+                 pair: tuple[int, int] | None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_lattice_meets` of every row of b: the points of mark pair[0]
+    against those of mark pair[1] for k in -K..K, or, when pair is None,
+    all points against all for 0 < |k| <= K.  Rows in ``b.redo`` are left
+    to the caller."""
+    if pair is None:
+        src = dst = (b.row, b.frame, b.ks)
+    else:
+        src, dst = ((b.row[at], b.frame[at], b.ks[at])
+                    for at in (b.marks == pair[0], b.marks == pair[1]))
+    return _lattice_meets(T, b.layout, K, pair is not None, b.used.size, src, dst)
+
+
+def _one_row(c: PointConfig) -> tuple:
+    """A lattice configuration's points as the one row of a batch."""
+    frame = np.repeat(np.arange(len(c._ks)), [k.size for k in c._ks])
+    ks = np.concatenate(c._ks) if c._ks else np.empty(0, dtype=np.uint64)
+    return np.zeros(frame.size, dtype=np.intp), frame, ks
+
+
+def _config_meets(c1: PointConfig, c2: PointConfig, T: TransformHandle, K: int,
+                  zero: bool) -> bool | None:
+    """Whether T^k maps a point of c1 onto one of c2, decided on grid
+    indices, for lattice configurations of one layout; None when they are
+    not, or when a point of c1 lies in a residual."""
+    if c1._layout is None or c1._layout is not c2._layout:
+        return None
+    src = _one_row(c1)
+    meets, unresolved = _lattice_meets(T, c1._layout, K, zero, 1, src,
+                                       src if c2 is c1 else _one_row(c2))
+    return None if unresolved[0] else bool(meets[0])
+
+
 def free_check(c: PointConfig, T: TransformHandle, K: int) -> bool:
     """True iff no support point maps onto another under T^k, 0 < |k| <= K."""
-    return not _meets(c.points, set(c.points),
-                      [k for k in range(-K, K + 1) if k], T)
+    meets = _config_meets(c, c, T, K, False)
+    if meets is None:
+        meets = _meets(c.points, set(c.points), [k for k in range(-K, K + 1) if k], T)
+    return not meets
 
 
 def dissociation_check(c1: PointConfig, c2: PointConfig, T: TransformHandle,
                        K: int) -> bool:
     """True iff supports never meet under T^k for any |k| <= K (k=0 included)."""
-    return not _meets(c1.points, set(c2.points), range(-K, K + 1), T)
+    meets = _config_meets(c1, c2, T, K, True)
+    if meets is None:
+        meets = _meets(c1.points, set(c2.points), range(-K, K + 1), T)
+    return not meets
 
 
 def _meets(xs, support: set, ks, T: TransformHandle) -> bool:
-    """Does T^k x lie in support for some k of ks, x of xs?  k by k."""
+    """Does T^k x lie in support for some k of ks, x of xs?  k by k, point
+    by point: the oracle of the lattice checks, and their path for
+    hand-built points and for points in a residual."""
     return any(T.apply(x, k) in support for k in ks for x in xs)
 
 

@@ -16,7 +16,8 @@ kappa apart exactly when their index gap is at most
 ``floor(kappa * 2**53 / width)``.
 
 :class:`LatticeSampler` is a Poisson sample, marked or thinned, that also
-counts whole blocks of replicates at once with the same draws.
+counts whole blocks of replicates at once with the same draws, and runs
+the exact ``free`` and ``dissociation`` checks on them.
 """
 
 from __future__ import annotations
@@ -28,15 +29,18 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .dynamics import TransformHandle
 from .point_process import (
     _CACHE_SIZE,
     BLOCK_WORDS,
+    KEY_ROWS,
     Columns,
     PointConfig,
     Rng,
     Streams,
     _Batch,
     _batch_counts,
+    _batch_meets,
     _frames_of,
     _gaps_above,
     _layout,
@@ -46,6 +50,8 @@ from .point_process import (
     _uniforms,
     _window_mask,
     counts,
+    dissociation_check,
+    free_check,
     sample_poisson,
 )
 from .windows import IntensitySpec, RatLike, Window, as_rat
@@ -239,6 +245,34 @@ class LatticeSampler:
         if self.kappa is not None:
             b = _thin_batch(b, self.kappa)
         return b
+
+    def meet_blocks(self, rng: Rng, R: int, T: TransformHandle, K: int,
+                    pair: tuple[int, int] | None = None) -> Iterator[np.ndarray]:
+        """Per replicate r < R, whether the sample of ``rng.child(r)`` fails
+        ``free_check(sample, T, K)``, or, given a pair (i, j) of marks,
+        ``dissociation_check`` of its projections on marks i and j; as bool
+        rows, in blocks of at most KEY_ROWS replicates.
+
+        A block's rows are decided on grid indices through T's pieces.  A
+        row that the batch leaves to the serial sampler, or with a point
+        where some T^k does not resolve into pieces, gets the check itself
+        on a call's sample, in row order, so it raises what that check
+        raises.
+        """
+        if pair is None:
+            def meets(c):
+                return not free_check(c, T, K)
+        else:
+            def meets(c):
+                return not dissociation_check(project_mark_set(c, {pair[0]}),
+                                              project_mark_set(c, {pair[1]}), T, K)
+        step = max(1, min(KEY_ROWS, int(BLOCK_WORDS // self._words)))
+        for lo in range(0, R, step):
+            b = self.batch(Streams(rng, min(lo + step, R), lo))
+            block, unresolved = _batch_meets(b, T, K, pair)
+            for i in np.flatnonzero(unresolved | b.redo).tolist():
+                block[i] = meets(self(rng.child(lo + i)))
+            yield block
 
     def count_blocks(self, rng: Rng, R: int,
                      columns: Columns) -> Iterator[np.ndarray]:

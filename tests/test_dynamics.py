@@ -391,3 +391,41 @@ def test_orbit_error_depends_on_max_stage_not_on_growth():
     with pytest.raises(OrbitError):
         m.apply(0, 4, max_stage=1)
     assert m.apply(0, 4, max_stage=2) == F(1, 9)
+
+
+@pytest.mark.parametrize("recipe,max_stage,hi", [
+    (chacon3_recipe, 7, F(8, 5)),
+    (infinite_chacon_recipe, 5, 30),
+])
+def test_piecewise_matches_materialized_tower(recipe, max_stage, hi):
+    # pieces and residual tile the part; T^k is x + shift on each piece and
+    # fails, as apply fails, on each residual interval, down to its ends
+    rng = random.Random(max_stage)
+    m, ref = RankOneMachine(recipe()), TowerOracle(recipe())
+    for _ in range(30):
+        part = _random_window(rng, hi).parts[0]
+        part = Interval(part.lo - F(1, 7), part.hi) if rng.random() < 0.2 else part
+        k = rng.choice([0, 1, -1, 2, -5, 8, -8, 13])
+        pieces, residual = m.piecewise(part, k, max_stage)
+        tiles = sorted([I for I, _ in pieces] + list(residual.parts))
+        assert tiles[0].lo == part.lo and tiles[-1].hi == part.hi
+        assert all(a.hi == b.lo for a, b in zip(tiles, tiles[1:]))
+        for I, shift in pieces:
+            for x in (I.lo, (I.lo + I.hi) / 2, I.hi - F(1, 10 ** 9) * I.length):
+                assert ref.apply(x, k, max_stage) == x + shift
+        for I in residual.parts:
+            for x in (I.lo, I.hi - F(1, 10 ** 9) * I.length):
+                with pytest.raises((OrbitError, ValueError)):
+                    ref.apply(x, k, max_stage)
+    # a translation is one piece
+    assert Translation(F(1, 3)).piecewise(Interval(-1, 2), -2) == \
+        ([(Interval(-1, 2), F(-2, 3))], Window())
+
+
+def test_space_at_a_later_stage_grows_nothing():
+    m = RankOneMachine(infinite_chacon_recipe())
+    space = m.space_at(DEFAULT_MAX_STAGE)
+    assert m.stage == 0
+    m.grow_to(DEFAULT_MAX_STAGE)
+    assert space == m.space == m.space_at(DEFAULT_MAX_STAGE)
+    assert m.space_at(1) == Window.span(0, F(7, 3))

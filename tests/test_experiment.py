@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from sushilab.dynamics import RankOneMachine, Translation
+from sushilab.dynamics import OrbitError, RankOneMachine, Translation
 from sushilab.experiment import (
     BATTERY_PRESETS,
     ExperimentSpec,
@@ -92,7 +92,7 @@ class TestSpecParsing:
             ExperimentSpec.from_dict(d)
 
     def test_law_row_errors_are_located(self):
-        with pytest.raises(ValueError, match=r"law\[1\]"):
+        with pytest.raises(ValueError, match=r"params\.law\[1\]"):
             parse_law([{"prob": "1", "weights": {"0": "1"}},
                        {"prob": "0"}])
 
@@ -190,7 +190,7 @@ class TestSpecParsing:
         ("mark", {"mark_probs": ["1/2", "1/2"]},
          {"test": "mixed_moment", "groupings": [["[0,1)"], []]}, "battery[0].groupings"),
         ("split", {"probs": ["1/2", "1/2"]}, {"test": "dissociation", "K": -1},
-         "battery[0].K: must be an integer in 0..inf"),
+         "battery[0].K: must be an integer in 0..1024"),
         ("poisson", {}, {"test": "free", "K": 0}, "battery[0].K: must be an integer in 1.."),
         ("poisson", {}, {"test": "free", "K": 2.0}, "battery[0].K"),
         ("poisson", {}, {"test": "cesaro", "windows": ["[2,3)"], "L": 0},
@@ -282,6 +282,43 @@ class TestSpecParsing:
         d = minimal_spec(transformation=transformation,
                          battery=[{"test": "intensity"}, item])
         with pytest.raises(ValueError, match=re.escape(message)):
+            run(ExperimentSpec.from_dict(d))
+
+    @pytest.mark.parametrize("overrides,item,message", [
+        ({"transformation": "infinite-chacon", "window": "[0,100000)"},
+         {"test": "free", "K": 8},
+         "window: [0,100000) is not inside the space [0,2612138803/531441) that "
+         "infinite-chacon builds in 12 stages, where battery[1].test free"),
+        ({"transformation": "chacon3", "window": "[-1,1)", "construction": "split",
+          "params": {"probs": ["1/2", "1/2"]}}, {"test": "dissociation"},
+         "window: [-1,1) is not inside the space"),
+        ({"transformation": "chacon3", "window": "[0,3/2)"}, {"test": "free"},
+         "window: [0,3/2) is not inside the space"),
+        ({}, {"test": "free", "K": 10**9}, "battery[1].K: must be an integer in 1..1024"),
+        ({"construction": "split", "params": {"probs": ["1/2", "1/2"]}},
+         {"test": "dissociation", "K": 1025},
+         "battery[1].K: must be an integer in 0..1024"),
+    ])
+    def test_orbit_reach_and_space_checked_before_sampling(
+            self, monkeypatch, overrides, item, message):
+        from sushilab import experiment
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the spec was validated")
+
+        monkeypatch.setattr(experiment, "Rng", no_sampling)
+        d = minimal_spec(battery=[{"test": "intensity"}, item], **overrides)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(ExperimentSpec.from_dict(d))
+
+    def test_orbit_error_mid_run_names_its_item(self):
+        # the top level of the stage-12 chacon3 column, inside the space:
+        # T^1 resolves at none of its points, so the run fails on the first
+        # replicate with a point
+        d = minimal_spec(transformation="chacon3", window="[531440/531441,1)",
+                         intensity=str(3 * 531441),
+                         battery=[{"test": "intensity"}, {"test": "free", "K": 1}])
+        with pytest.raises(OrbitError, match=re.escape("battery[1]: T^1 undefined at")):
             run(ExperimentSpec.from_dict(d))
 
     @pytest.mark.parametrize("transformation,window,construction,law,item,message", [
@@ -396,7 +433,9 @@ class TestSpecParsing:
           "params": {"c": {}, "law": [{"prob": "1", "weights": {"0": "1"}}]}},
          "params.c: cannot interpret {}"),
         ({"construction": "sushi", "params": {"law": [{"prob": "1", "weights": [1]}]}},
-         "law[0]: must be {prob, weights: {k: a_k}}"),
+         "params.law[0]: must be {prob, weights: {k: a_k}}"),
+        ({"construction": "sushi", "params": {"law": "pair"}},
+         "params.law: must be a list of {prob, weights} entries"),
         ({"transformation": {"preset": "translation", "step": [1]}},
          "transformation.step: cannot interpret [1]"),
         ({"transformation": {"cuts": 3, "spacers": [[0, 1, 0]]}}, "transformation: "),

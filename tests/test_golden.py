@@ -1,13 +1,16 @@
 """The shipped preset batteries, and two rank-one specs, reproduce their
 recorded manifests bit for bit, every preset its raw artifacts, and seeded
-cluster realizations their exact orbit codings.
+cluster realizations their exact orbit codings; rank-one orbits and image
+windows are pinned as exact text.
 
 A manifest hash is the first 12 hex digits of the sha256 of the manifest
 without its wall time, as JSON with sorted keys.  Any change to the draw
 order, to a sampler or to a statistic moves it.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import warnings
 from fractions import Fraction as F
@@ -16,7 +19,8 @@ import pytest
 
 from sushilab.cli import main
 from sushilab.cluster import ClusterEntry, ClusterLaw, SushiSpec, phi_encode, sample_sushi
-from sushilab.dynamics import RankOneMachine, Translation, chacon3_recipe
+from sushilab.dynamics import (OrbitError, RankOneMachine, Translation, chacon3_recipe,
+                               infinite_chacon_recipe)
 from sushilab.experiment import ExperimentSpec, preset_spec, run
 from sushilab.point_process import Rng
 from sushilab.windows import parse_window
@@ -140,3 +144,59 @@ def test_phi_encode_hash(name):
             h.update(repr(enc).encode())
     assert clusters > n  # the pin covers many encoded clusters
     assert h.hexdigest()[:12] == digest
+
+
+# Exact rank-one arithmetic: the CSV that ``sushi-lab orbit`` prints, and the
+# image windows T^k w of multi-part windows, with the text of each OrbitError
+# where T^k w does not resolve.  Each value is the first 12 hex digits of the
+# sha256 of the text.
+ORBIT_CSV = {
+    ("chacon3", "97/200", "6"): "b4a8c414e642",
+    ("chacon3", "1/3", "30"): "f708b6a321e7",
+    ("infinite-chacon", "97/200", "40"): "c7da76c63381",
+    ("infinite-chacon", "5/9", "-12"): "bc108b309a29",
+}
+
+IMAGE_WINDOWS = {
+    ("chacon3", "[1/9,1/3)+[4/9,8/9)+[1,11/9)+[4/3,13/9)", tuple(range(-3, 4))):
+        "9ca5e554d12d",
+    ("chacon3", "[0,1/3)+[1/2,5/9)+[7/6,4/3)", (-2, -1, 1, 2)): "70c489706296",
+    ("infinite-chacon", "[5/9,2/3)+[8/9,1)+[11/9,4/3)+[14/9,5/3)",
+     tuple(range(-16, 21))): "09889454245d",
+    ("infinite-chacon", "[2,7/3)+[3,4)+[10,12)", (-8, -3, -1, 1, 3, 8)):
+        "82882583d562",
+}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def test_orbit_csv_of_chacon3():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["orbit", "chacon3", "97/200", "6"]) == 0
+    assert out.getvalue() == ("k,x_k\n0,97/200\n1,691/600\n2,491/600\n"
+                              "3,2473/1800\n4,473/1800\n5,1073/1800\n6,2273/1800\n")
+
+
+@pytest.mark.parametrize("args", sorted(ORBIT_CSV))
+def test_orbit_csv_hash(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["orbit", *args]) == 0
+    assert _digest(out.getvalue()) == ORBIT_CSV[args]
+
+
+@pytest.mark.parametrize("case", sorted(IMAGE_WINDOWS))
+def test_image_window_hash(case):
+    name, w, ks = case
+    T = RankOneMachine(chacon3_recipe() if name == "chacon3"
+                       else infinite_chacon_recipe(), label=name)
+    rows = []
+    for k in ks:
+        try:
+            rows.append(f"{k}:{T.image_window(parse_window(w), k)}")
+        except OrbitError as exc:
+            rows.append(f"{k}:E {exc}")
+    assert _digest("\n".join(rows)) == IMAGE_WINDOWS[case]
