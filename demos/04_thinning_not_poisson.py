@@ -8,14 +8,15 @@ Fisher index test rejects the Poisson hypothesis decisively.
 """
 
 import math
+from fractions import Fraction
 
 from sushilab import (
     IntensitySpec,
+    LatticeSampler,
     Rng,
     Window,
-    count,
+    count_matrix,
     dispersion_index_test,
-    replicate_matrix,
     sample_poisson,
     separation_thin,
 )
@@ -25,7 +26,9 @@ kappa = 1
 W = Window.span(-1, 51)       # one kappa of slack on each side
 core = Window.span(0, 50)     # rate evaluated away from the boundary
 
-sampler = lambda rng: separation_thin(sample_poisson(alpha, W, rng), kappa)
+# draws then thins each replicate as separation_thin(sample_poisson(...)),
+# counting whole blocks of replicates at once
+sampler = LatticeSampler(alpha, W, kappa=Fraction(kappa))
 
 before = sample_poisson(alpha, W, Rng(4, 0))
 after = separation_thin(before, kappa)
@@ -33,8 +36,7 @@ print(f"one realization: {len(before.points)} points -> "
       f"{len(after.points)} kept")
 
 R = 20000
-mat = replicate_matrix(sampler, lambda c: [float(count(c, core))],
-                       1, R, Rng(4, 1))
+mat = count_matrix(sampler, [(None, core)], R, Rng(4, 1))
 counts = mat[:, 0].astype(int)
 rate = counts.mean() / 50
 target = math.exp(-2)

@@ -16,13 +16,13 @@ from sushilab import (
     SushiSpec,
     Translation,
     Window,
-    count,
-    replicate_matrix,
+    count_matrix,
     sample_sushi,
     sushi_mean,
     sushi_variance,
     unit_intensity_c,
 )
+from sushilab.cluster import ClusterSampler
 
 T = Translation(1)
 law = ClusterLaw([
@@ -45,8 +45,8 @@ var = sushi_variance(spec, A)
 print(f"closed forms on {A}: mean {mean}, variance {var}")
 
 R = 6000
-mat = replicate_matrix(lambda rng: sample_sushi(spec, A, rng),
-                       lambda v: [float(count(v, A))], 1, R, Rng(6, 1))
+# sample_sushi's draws, counted block by block through the cluster grounds
+mat = count_matrix(ClusterSampler(spec, A, "sushi"), [(None, A)], R, Rng(6, 1))
 masses = mat[:, 0]
 se = masses.std(ddof=1) / math.sqrt(R)
 print(f"empirical mean {masses.mean():.4f} "
@@ -54,6 +54,5 @@ print(f"empirical mean {masses.mean():.4f} "
 print(f"empirical variance {masses.var(ddof=1):.4f} vs {float(var)}")
 
 unit = SushiSpec(unit_intensity_c(law), law, T)
-umat = replicate_matrix(lambda rng: sample_sushi(unit, A, rng),
-                        lambda v: [float(count(v, A))], 1, R, Rng(6, 2))
+umat = count_matrix(ClusterSampler(unit, A, "sushi"), [(None, A)], R, Rng(6, 2))
 print(f"unit-scale intensity: {umat[:, 0].mean() / 4:.4f} per unit length")

@@ -27,6 +27,12 @@ in exact integers scaled by the weights' common denominator.
 The orbit coding pairs every realization made of whole clusters with a
 canonical list of (origin, relative weights): the origin is the earliest
 maximal-weight point of its orbit group, so decoding is exact inversion.
+It inverts when distinct clusters lie in distinct orbit groups.
+:meth:`ClusterSampler.round_trip_blocks` decides the coding's round trip
+on the same blocks: a replicate whose ground points meet under no power
+of T within the coding's reach provably groups by cluster, and passes on
+grid indices; every other replicate is sampled and coded on ``Fraction``
+points (:func:`_round_trip_fails`).
 """
 
 from __future__ import annotations
@@ -43,12 +49,15 @@ import numpy as np
 from .dynamics import OrbitError, TransformHandle
 from .point_process import (
     BLOCK_WORDS,
+    KEY_ROWS,
     Columns,
     PointConfig,
     Rng,
     Streams,
     _batch_counts,
     _check_columns,
+    _inside,
+    _lattice_meets,
     counts,
     sample_poisson,
 )
@@ -120,6 +129,12 @@ class ClusterLaw:
     @property
     def reach(self) -> int:
         return max(e.reach for e in self.catalog)
+
+    @property
+    def span(self) -> int:
+        """Largest orbit offset of the catalog minus its smallest."""
+        ks = [k for e in self.catalog for k, _ in e.weights]
+        return max(ks) - min(ks)
 
     @property
     def mean_total_weight(self) -> Fraction:
@@ -238,12 +253,14 @@ class ClusterSampler:
 
     Called with an Rng, it is :func:`sample_sushi` or
     :func:`sample_id_measure`.  :meth:`count_blocks` counts whole blocks of
-    replicates with the same draws.  Its grounds are
-    :class:`~sushilab.split_mark.LatticeSampler` samples: sushi's one
-    ground marked by catalog entry, or id's one ground per entry of
-    positive probability, in catalog order, on the same stream.  A count is
-    pulled back to them: N(A) = Σ_e Σ_k a_{e,k} N_e(T^{-k} A), N_e counting
-    the ground points that carry entry e.
+    replicates with the same draws, and :meth:`round_trip_blocks` decides
+    the orbit coding's round trip on them, running the ``Fraction`` coding
+    only on the replicates that its certificate does not clear.  Its
+    grounds are :class:`~sushilab.split_mark.LatticeSampler` samples:
+    sushi's one ground marked by catalog entry, or id's one ground per entry
+    of positive probability, in catalog order, on the same stream.  A count
+    is pulled back to them: N(A) = Σ_e Σ_k a_{e,k} N_e(T^{-k} A), N_e
+    counting the ground points that carry entry e.
 
     Raises :class:`~sushilab.dynamics.OrbitError` unless T^k resolves on
     the whole ground window for every offset k hung there, and ValueError
@@ -288,16 +305,105 @@ class ClusterSampler:
         step = max(1, int(BLOCK_WORDS // sum(
             ground.cost(cols) for (ground, _), cols in zip(self._grounds, pull.columns))))
         for lo in range(0, R, step):
-            streams = Streams(rng, min(lo + step, R), lo)
-            used, redo, ground_counts = None, False, []
-            for (ground, _), cols in zip(self._grounds, pull.columns):
-                b = ground.batch(streams, used)
-                ground_counts.append(_batch_counts(b, cols))
-                used, redo = b.used, redo | b.redo
-            block = pull.weigh(np.concatenate(ground_counts, axis=1))
+            batches = self._batches(Streams(rng, min(lo + step, R), lo))
+            block = pull.weigh(np.concatenate(
+                [_batch_counts(b, cols) for b, cols in zip(batches, pull.columns)],
+                axis=1))
+            redo = np.logical_or.reduce([b.redo for b in batches])
             for i in np.flatnonzero(redo).tolist():
                 block[i] = counts(self(rng.child(lo + i)), columns)
             yield block
+
+    def _batches(self, streams: Streams) -> list:
+        """The batch of each ground of every row of streams, drawn one after
+        another from each row's stream."""
+        out, used = [], None
+        for ground, _ in self._grounds:
+            out.append(ground.batch(streams, used))
+            used = out[-1].used
+        return out
+
+    def round_trip_blocks(self, rng: Rng, R: int,
+                          K_max: int) -> Iterator[np.ndarray]:
+        """Per replicate r < R, whether the sample of ``rng.child(r)`` fails
+        :func:`_round_trip_fails` with K_max, as bool rows, in blocks of at
+        most KEY_ROWS replicates.
+
+        A block's grounds are drawn as :meth:`count_blocks` draws them.  With
+        M = (largest - smallest offset of the law) + K_max, a row passes
+        without its atoms being built when :meth:`_certified` clears it:
+
+        (a) no ground point x meets another, T^m x = y, nor itself, for
+            0 < |m| <= M; on the id route no two points of different
+            grounds meet for |m| <= M, m = 0 included;
+        (b) T^m resolves into pieces at every ground point, 0 < |m| <= M,
+            so that (a) is decided exactly on grid indices;
+        (c) the batch drew the row: one it leaves to a call holds none of
+            the row's points; and
+        (d) no cluster has atoms in core at offsets more than K_max apart.
+
+        Proof that a cleared row passes.  Let S_x be the offsets k of the
+        entry hung on ground point x with T^k x in core; the sample is the
+        atoms T^k x, k in S_x, summed by point.  Two atoms T^k x = T^k' y
+        of distinct clusters would meet x and y within the span <= M, and
+        T^k x = T^k' x with k != k' would meet x with itself, so (a) leaves
+        every atom its own point.  ``_orbit_groups`` scans from an atom T^k
+        x the points T^(k+j) x, 0 < |j| <= K_max.  One of them equal to an
+        atom T^k' y of another cluster gives T^(k+j-k') x = y, with |k + j
+        - k'| <= span + K_max = M, which (a) excludes; one equal to T^k'' x,
+        k'' != k + j, meets x with itself within M.  By (d) the scan from
+        the first atom of a cluster in point order reaches all of S_x, and
+        it resolves up to them, since T^k x resolves for every k in S_x.  So
+        the groups are exactly the clusters with an atom in core, each
+        anchored at its first atom.  ``phi_encode`` drops a group by its
+        anchor and offsets alone, so the decoded configuration is the sample
+        less the dropped clusters; its groups are again exactly its
+        clusters, with the same anchors, so the second encoding equals the
+        first and decodes to the same configuration.
+
+        Every other row runs :func:`_round_trip_fails` on a call's sample,
+        in row order, so it fails, or raises, as one call per replicate.
+        """
+        T = self.spec.T
+        words = sum(ground._words for ground, _ in self._grounds)
+        step = max(1, min(KEY_ROWS, int(BLOCK_WORDS // words)))
+        for lo in range(0, R, step):
+            streams = Streams(rng, min(lo + step, R), lo)
+            batches = self._batches(streams)
+            block = np.zeros(len(streams), dtype=bool)
+            for i in np.flatnonzero(~self._certified(batches, K_max)).tolist():
+                block[i] = _round_trip_fails(self(rng.child(lo + i)), T, K_max,
+                                             self.core)
+            yield block
+
+    def _certified(self, batches: list, K_max: int) -> np.ndarray:
+        """Per row of batches, one per ground: do conditions (a)-(d) of
+        :meth:`round_trip_blocks` hold?"""
+        T, M = self.spec.T, self.spec.law.span + K_max
+        n = batches[0].used.size
+        bad = np.zeros(n, dtype=bool)
+        points = [(b.row, b.frame, b.ks) for b in batches]
+        for g, (b, (_, entries)) in enumerate(zip(batches, self._grounds)):
+            bad |= b.redo
+            for h in range(g, len(batches)):
+                meets, unresolved = _lattice_meets(
+                    T, (b.layout, batches[h].layout), M, h != g, n, points[g],
+                    points[h])
+                bad |= meets | unresolved
+            for sel, entry in entries:
+                ks = [k for k, _ in entry.weights]
+                if ks[-1] - ks[0] <= K_max:
+                    continue
+                # per offset and point: is the atom T^k x in core?
+                hit = np.array([_inside(b, T.image_window(self.core, -k))
+                                for k in ks])
+                first = np.take(ks, hit.argmax(axis=0))
+                last = np.take(ks, len(ks) - 1 - hit[::-1].argmax(axis=0))
+                wide = hit.any(axis=0) & (last - first > K_max)
+                if sel is not None:
+                    wide &= b.marks == sel
+                bad[b.row[wide]] = True
+        return ~bad
 
 
 # float64 holds every integer up to 2**53 exactly
@@ -481,6 +587,20 @@ def phi_encode(v: PointConfig, T: TransformHandle,
                       stacklevel=2)
     out.sort(key=lambda e: e.origin)
     return out
+
+
+def _round_trip_fails(v: PointConfig, T: TransformHandle, K_max: int,
+                      window: Window) -> bool:
+    """Does the orbit coding of v fail to round-trip exactly?  v is
+    encoded, decoded on window, encoded again and decoded again; the check
+    fails unless the two encodings and the two decoded configurations agree.
+    Groups dropped at the boundary are allowed, and not counted."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        enc = phi_encode(v, T, K_max)
+        v2 = phi_decode(enc, T, window=window)
+        enc2 = phi_encode(v2, T, K_max)
+    return enc2 != enc or phi_decode(enc2, T, window=window) != v2
 
 
 def phi_decode(enc: Sequence[EncodedCluster], T: TransformHandle,

@@ -8,10 +8,13 @@ content is a pure function of (spec, seed): rerunning reproduces every
 report byte for byte.  Wall time is the single manifest field excluded
 from that contract.  Every construction counts whole blocks of replicates
 at once, the cluster ones by pulling their counts back to lattice grounds,
-and the exact ``free`` and ``dissociation`` checks compare grid indices of
-the same blocks; ``round_trip`` and the realization dumps sample one
-replicate at a time, on the same streams.  run() accepts ``threads`` for
-compatibility only.
+and the exact checks run on the same blocks: ``free`` and ``dissociation``
+compare grid indices, and ``round_trip`` clears each replicate whose ground
+points provably code as separate clusters.  Only the replicates those
+checks cannot decide on grid indices, and the realization dumps, are
+sampled one at a time, on the same streams; ``round_trip`` runs its
+``Fraction`` coding on those.  run() accepts ``threads`` for compatibility
+only.
 
 Numbers in spec files use exact rational literals ("3/200") and window
 literals ("[0,1)+[2,3)") so configuration round-trips without float loss.
@@ -23,7 +26,6 @@ import hashlib
 import json
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -36,8 +38,7 @@ from .cluster import (
     ClusterLaw,
     ClusterSampler,
     SushiSpec,
-    phi_decode,
-    phi_encode,
+    cluster_buffer,
     sushi_mean,
     sushi_variance,
     unit_intensity_c,
@@ -58,7 +59,6 @@ from .moments import (
     diagonal_weight,
     fit_partition_decomposition,
     partitions,
-    replicate_matrix,
 )
 from .point_process import Rng, dump_csv
 from .split_mark import LatticeSampler, MarkLaw, project_mark_set
@@ -78,6 +78,7 @@ from .windows import (
     IntensitySpec,
     Window,
     as_rat,
+    format_rat,
     parse_window,
 )
 
@@ -231,6 +232,8 @@ class ExperimentSpec:
         replicates = need("replicates", int)
         if replicates < 100:
             raise ValueError("replicates: must be at least 100")
+        if replicates > MAX_REPLICATES:
+            raise ValueError(f"replicates: must be at most {MAX_REPLICATES}")
         seed = need("seed", int)
         spec = ExperimentSpec(
             name=name,
@@ -295,6 +298,8 @@ class _Plan:
 def _build_plan(spec: ExperimentSpec) -> _Plan:
     T, alphaspec, W = spec.transformation, spec.intensity, spec.window
     kind, params = spec.construction, spec.params
+    if kind not in ("sushi", "id"):
+        _check_mean("intensity", alphaspec.alpha, W)
     if kind == "poisson":
         return _Plan(kind, T, alphaspec, W, W, LatticeSampler(alphaspec, W))
     if kind in ("split", "mark"):
@@ -339,21 +344,39 @@ def _build_plan(spec: ExperimentSpec) -> _Plan:
             sspec = SushiSpec(c, law, T)
         except ValueError as exc:
             raise ValueError(f"params: {exc}") from exc
+        field = "intensity" if c_raw is None else "params.c"
         return _Plan(kind, T, IntensitySpec(c), W, W,
-                     _cluster_sampler(sspec, W, kind), sushi=sspec)
+                     _cluster_sampler(sspec, W, kind, field), sushi=sspec)
     raise ValueError(f"construction: unknown kind {kind}")
 
 
-def _cluster_sampler(sspec: SushiSpec, W: Window, route: str) -> ClusterSampler:
+def _check_mean(field: str, rate: Fraction, ground: Window) -> None:
+    """Refuse a replicate whose mean ground count, rate x length of its
+    ground window, exceeds MAX_GROUND_MEAN, naming field, before the
+    window's lattice frames are laid out."""
+    mean = rate * ground.length
+    if mean > MAX_GROUND_MEAN:
+        raise ValueError(f"{field}: the mean ground count per replicate, "
+                         f"{format_rat(rate)} x length of {ground}, is "
+                         f"{float(mean):.4g}, above {MAX_GROUND_MEAN}")
+
+
+def _cluster_sampler(sspec: SushiSpec, W: Window, route: str,
+                     field: str = "params.c") -> ClusterSampler:
     """The cluster sampler of route on W, refusing a law whose clusters T
-    cannot hang from every point of their ground window, and a window
-    outside T's space."""
-    try:
-        return ClusterSampler(sspec, W, route)
-    except OrbitError as exc:
-        raise ValueError(f"params.law: {exc}") from exc
-    except ValueError as exc:
-        raise ValueError(f"window: {exc}") from exc
+    cannot hang from every point of their ground window, a window outside
+    T's space, and a ground mean above MAX_GROUND_MEAN, named as field.
+    The sushi ground's mean bounds the id grounds' total."""
+    def named(build):
+        try:
+            return build()
+        except OrbitError as exc:
+            raise ValueError(f"params.law: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"window: {exc}") from exc
+
+    _check_mean(field, sspec.c, named(lambda: cluster_buffer(sspec, W)))
+    return named(lambda: ClusterSampler(sspec, W, route))
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +405,13 @@ def _int_in(lo: int, hi: float = math.inf) -> Callable:
         if type(v) is not int or not lo <= v <= hi:
             raise ValueError(f"must be an integer in {lo}..{hi}")
     return check
+
+
+def _replicates(v) -> None:
+    """Check that a replicate count is an integer in 100..MAX_REPLICATES."""
+    _int_in(100)(v)
+    if v > MAX_REPLICATES:
+        raise ValueError(f"must be at most {MAX_REPLICATES}")
 
 
 def _level(v) -> None:
@@ -462,6 +492,12 @@ def _check_selectors(plan: _Plan, item: Mapping, at: str) -> None:
                              f"{what.get(key, 'an integer')} in [0, {bound})")
     if test == "cesaro":
         _check_cesaro_shifts(plan, item, f"{at}.windows")
+    if test == "round_trip":
+        K_max, span = _K_max(plan, item), plan.sushi.law.span
+        if span + K_max > MAX_K:
+            raise ValueError(f"{at}.K_max: round_trip compares orbits "
+                             f"{span + K_max} steps apart (the law's offsets "
+                             f"span {span}, plus K_max {K_max}), above {MAX_K}")
     if test in ("dissociation", "free") and isinstance(plan.T, RankOneMachine):
         space = plan.T.space_at(DEFAULT_MAX_STAGE)
         if not space.covers(plan.observed):
@@ -641,23 +677,16 @@ def _run_diagonal_weight(plan, spec, item, rng):
     return [rep], {"refinements": np.array(res.estimates)}
 
 
+def _K_max(plan: _Plan, item: Mapping) -> int:
+    """The orbit scan radius of a round_trip item."""
+    return item.get("K_max", 2 * plan.sushi.law.reach)
+
+
 def _run_round_trip(plan, spec, item, rng):
-    K_max = item.get("K_max", 2 * plan.sushi.law.reach)
-
-    def failed(v) -> bool:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            enc = phi_encode(v, plan.T, K_max)
-        v2 = phi_decode(enc, plan.T, window=plan.observed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            enc2 = phi_encode(v2, plan.T, K_max)
-        return enc2 != enc or phi_decode(enc2, plan.T, window=plan.observed) != v2
-
-    R = _item_R(spec, item)
-    nfail = int(replicate_matrix(plan.sample, lambda v: [float(failed(v))],
-                                 1, R, rng)[:, 0].sum())
-    return [_exact_report(spec, item, f"round_trip[K_max={K_max}]", nfail)], {}
+    K_max = _K_max(plan, item)
+    blocks = plan.sample.round_trip_blocks(rng, _item_R(spec, item), K_max)
+    return [_exact_report(spec, item, f"round_trip[K_max={K_max}]",
+                          sum(int(b.sum()) for b in blocks))], {}
 
 
 def _run_two_sample_vs(plan, spec, item, rng):
@@ -698,11 +727,22 @@ def _run_cesaro(plan, spec, item, rng):
                           "averages": np.array(res.averages)}
 
 
-# Largest orbit reach K of a dissociation or free item.  Each replicate
-# checks its points against 2K + 1 powers of T, and each power of a rank-one
-# machine costs a piece table, so K bounds the work per replicate; the
-# shipped, test and benchmark specs use K up to 8.
+# Largest orbit reach K of a dissociation or free item, L of a cesaro item,
+# and span + K_max of a round_trip item.  Each replicate checks its points
+# against 2K + 1 powers of T, cesaro computes L images of each window, and
+# each power of a rank-one machine costs a piece table, so the reach bounds
+# the work per replicate; the shipped, test and benchmark specs reach at
+# most 16.
 MAX_K = 1024
+# Largest number of replicates of a spec or an item: one float64 count
+# column of that many rows is 8 MB.  The shipped specs use at most 20,000.
+MAX_REPLICATES = 10**6
+# Largest mean ground count of one replicate, intensity x window length (c x
+# ground window length for a cluster measure): a replicate's lattice frames,
+# one per 700 of mean, are laid out at load, and a block holds at least one
+# replicate.  The shipped and benchmark specs stay below 100, the test specs
+# at or below 100,000.
+MAX_GROUND_MEAN = 10**6
 
 _MARKED = ("split", "mark")
 _CLUSTER = ("sushi", "id")
@@ -711,7 +751,7 @@ _CLUSTER = ("sushi", "id")
 _INTEGER_TESTS = ("poisson_gof", "dispersion", "two_sample_vs")
 _WINDOW = (True, parse_window)
 # the item parameters any test may name, as {key: (required, check)}
-_ANY_ITEM = {"window": (False, parse_window), "replicates": (False, _int_in(100)),
+_ANY_ITEM = {"window": (False, parse_window), "replicates": (False, _replicates),
              "level": (False, _level), "must_pass": (False, _boolean),
              "raw": (False, _boolean)}
 
@@ -745,7 +785,8 @@ _TESTS: dict[str, tuple[Callable, tuple[str, ...], dict]] = {
     "two_sample_vs": (_run_two_sample_vs, _CLUSTER, {}),
     "variance": (_run_variance, ("poisson", *_MARKED, *_CLUSTER), {}),
     "cesaro": (_run_cesaro, CONSTRUCTIONS,
-               {"windows": (True, _parse_windows), "L": (False, _int_in(1))}),
+               {"windows": (True, _parse_windows),
+                "L": (False, _int_in(1, MAX_K))}),
 }
 
 

@@ -914,6 +914,16 @@ def _frames_of(b: _Batch):
     return [(frame, b.frame == f) for f, frame in enumerate(b.layout.frames)]
 
 
+def _inside(b: _Batch, A: Window) -> np.ndarray:
+    """Boolean per point of b: does it lie in A?  Inside a part of A, a
+    point has an odd number of A's edge thresholds at or below its index."""
+    keep = np.empty(b.ks.size, dtype=bool)
+    for frame, at in _frames_of(b):
+        cuts = frame.cuts(_one_column(A))
+        keep[at] = cuts.searchsorted(b.ks[at], side="right") % 2 == 1
+    return keep
+
+
 def _batch_counts(b: _Batch, columns: Columns) -> np.ndarray:
     """:func:`counts` of every row of b, as int64 rows; rows in ``b.redo``
     are left to the caller.
@@ -985,17 +995,19 @@ def _move(f: _Frame, g: _Frame, shift: Fraction, lo: int, hi: int):
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _meet_table(T: TransformHandle, layout: _Layout, K: int, zero: bool):
-    """T^k, for 0 < |k| <= K and k = 0 when zero, on the frames of layout:
-    ``(moves, residual)``.  moves lists ``(f, g, first, stop, m, j0, r)``:
-    a point of frame f with an index in ``range(first, stop, m)`` maps onto
-    the point of frame g with index ``j0 + (i - first) // m * r``, for some
-    k.  residual[f] holds the sorted bounds ``[a0, b0, a1, ...]`` of the
-    index ranges of frame f where some T^k does not resolve into pieces."""
-    frames = layout.frames
+def _meet_table(T: TransformHandle, src: _Layout, dst: _Layout, K: int,
+                zero: bool):
+    """T^k, for 0 < |k| <= K and k = 0 when zero, from the frames of src to
+    those of dst: ``(moves, residual)``.  moves lists ``(f, g, first, stop,
+    m, j0, r)``: a point of src frame f with an index in ``range(first,
+    stop, m)`` maps onto the point of dst frame g with index ``j0 + (i -
+    first) // m * r``, for some k.  residual[f] holds the sorted bounds
+    ``[a0, b0, a1, ...]`` of the index ranges of src frame f where some T^k
+    does not resolve into pieces."""
+    frames = dst.frames
     starts = [g.lo for g in frames]
     moves, residual = [], {}
-    for fi, f in enumerate(frames):
+    for fi, f in enumerate(src.frames):
         part = Interval(f.lo, f.lo + f.width)
         spans = []
         for k in range(-K, K + 1):
@@ -1025,19 +1037,20 @@ def _meet_table(T: TransformHandle, layout: _Layout, K: int, zero: bool):
     return moves, residual
 
 
-def _lattice_meets(T: TransformHandle, layout: _Layout, K: int, zero: bool,
-                   n: int, src: tuple, dst: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _lattice_meets(T: TransformHandle, layouts: tuple[_Layout, _Layout], K: int,
+                   zero: bool, n: int, src: tuple,
+                   dst: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Per row r < n, at most KEY_ROWS rows: does ``T^k x == y`` for x a
     point of src and y one of dst, both of row r, and k as in
     :func:`_meet_table`?  src and dst are ``(row, frame, ks)`` arrays of
-    lattice points of layout in point order (row by row, frame by frame,
-    sorted in a frame).  Returns ``(meets, unresolved)``: a row with a point
-    of src in the residual of some T^k is unresolved, and its meets entry
-    is left for the caller to decide."""
-    moves, residual = _meet_table(T, layout, K, zero)
+    lattice points of the two layouts, each in point order (row by row,
+    frame by frame, sorted in a frame).  Returns ``(meets, unresolved)``: a
+    row with a point of src in the residual of some T^k is unresolved, and
+    its meets entry is left for the caller to decide."""
+    moves, residual = _meet_table(T, *layouts, K, zero)
     meets, unresolved = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    srow, sks, scut = _by_frame(src, len(layout.frames))
-    drow, dks, dcut = _by_frame(dst, len(layout.frames))
+    srow, sks, scut = _by_frame(src, len(layouts[0].frames))
+    drow, dks, dcut = _by_frame(dst, len(layouts[1].frames))
     for f, bounds in residual.items():
         ks = sks[scut[f]:scut[f + 1]]
         inside = bounds.searchsorted(ks, side="right") % 2 == 1
@@ -1081,7 +1094,8 @@ def _batch_meets(b: _Batch, T: TransformHandle, K: int,
     else:
         src, dst = ((b.row[at], b.frame[at], b.ks[at])
                     for at in (b.marks == pair[0], b.marks == pair[1]))
-    return _lattice_meets(T, b.layout, K, pair is not None, b.used.size, src, dst)
+    return _lattice_meets(T, (b.layout, b.layout), K, pair is not None,
+                          b.used.size, src, dst)
 
 
 def _one_row(c: PointConfig) -> tuple:
@@ -1099,8 +1113,8 @@ def _config_meets(c1: PointConfig, c2: PointConfig, T: TransformHandle, K: int,
     if c1._layout is None or c1._layout is not c2._layout:
         return None
     src = _one_row(c1)
-    meets, unresolved = _lattice_meets(T, c1._layout, K, zero, 1, src,
-                                       src if c2 is c1 else _one_row(c2))
+    meets, unresolved = _lattice_meets(T, (c1._layout, c1._layout), K, zero, 1,
+                                       src, src if c2 is c1 else _one_row(c2))
     return None if unresolved[0] else bool(meets[0])
 
 

@@ -41,10 +41,9 @@ from .point_process import (
     _Batch,
     _batch_counts,
     _batch_meets,
-    _frames_of,
     _gaps_above,
+    _inside,
     _layout,
-    _one_column,
     _poisson_batch,
     _rank_in_row,
     _uniforms,
@@ -177,11 +176,7 @@ def _thin_batch(b: _Batch, kappa: Fraction) -> _Batch:
     """:func:`separation_thin` of every row of b: index gaps in a frame,
     exact Fractions across frames, no neighbour across rows."""
     core = _core(b.window, kappa.numerator, kappa.denominator)
-    keep = np.empty(b.ks.size, dtype=bool)
-    for frame, at in _frames_of(b):
-        # inside a part of the core: an odd number of its edges at or below
-        cuts = frame.cuts(_one_column(core))
-        keep[at] = cuts.searchsorted(b.ks[at], side="right") % 2 == 1
+    keep = _inside(b, core)
     frames = b.layout.frames
     bounds = np.array([f.gap_bound(kappa) for f in frames], dtype=np.uint64)
     same_row = b.row[1:] == b.row[:-1]

@@ -33,20 +33,18 @@ from sushilab.moments import (
     diagonal_weight,
     fit_partition_decomposition,
     partitions,
-    replicate_matrix,
 )
 from sushilab.point_process import (
     Rng,
-    count,
     count_replicates,
     dissociation_check,
     sample_poisson,
 )
 from sushilab.split_mark import (
     LatticeSampler,
+    MarkLaw,
     attach_marks,
     bernoulli_split,
-    separation_thin,
 )
 from sushilab.stats import (
     covariance_check,
@@ -164,9 +162,9 @@ def test_criterion_05_splitting_independence():
     probs = (Fraction(1, 2), Fraction(1, 2))
     sampler = lambda rng: bernoulli_split(sample_poisson(alpha, W, rng),
                                           probs, rng)
-    mat = replicate_matrix(
-        sampler, lambda comps: [float(count(c, W)) for c in comps],
-        2, 20000, Rng(SEED, 5201))
+    # component j of a split is mark j of its marking, with the same draws
+    mat = count_matrix(LatticeSampler(alpha, W, marks=MarkLaw(probs)),
+                       [(0, W), (1, W)], 20000, Rng(SEED, 5201))
     ps = []
     for j in range(2):
         rep = poisson_gof(mat[:, j].astype(int), 5.0, level=0.01, seed=SEED)
@@ -193,9 +191,8 @@ def test_criterion_06_thinning_counterexample():
     W = Window.span(-1, 51)
     core = Window.span(0, 50)
     alpha = IntensitySpec(1)
-    sampler = lambda rng: separation_thin(sample_poisson(alpha, W, rng), 1)
-    mat = replicate_matrix(sampler, lambda c: [float(count(c, core))],
-                           1, 20000, Rng(SEED, 6001))
+    sampler = LatticeSampler(alpha, W, kappa=Fraction(1))
+    mat = count_matrix(sampler, [(None, core)], 20000, Rng(SEED, 6001))
     counts = mat[:, 0].astype(int)
     rate = counts.mean() / 50.0
     se = counts.std(ddof=1) / (50.0 * math.sqrt(20000))
@@ -217,16 +214,8 @@ def test_criterion_07_marked_processes():
     alpha = IntensitySpec(1)
     rho = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
     R = 5000
-    sampler = lambda rng: attach_marks(sample_poisson(alpha, W, rng),
-                                       rho, rng)
-
-    def evaluate(mc):
-        cells = [0.0, 0.0, 0.0]
-        for mk in mc.marks.tolist():
-            cells[mk] += 1.0
-        return cells
-
-    mat = replicate_matrix(sampler, evaluate, 3, R, Rng(SEED, 7001))
+    sampler = LatticeSampler(alpha, W, marks=MarkLaw(rho))
+    mat = count_matrix(sampler, [(j, W) for j in range(3)], R, Rng(SEED, 7001))
     for j in range(3):
         rep = poisson_gof(mat[:, j].astype(int), float(10 * rho[j]),
                           level=0.01, seed=SEED)

@@ -311,6 +311,66 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match=re.escape(message)):
             run(ExperimentSpec.from_dict(d))
 
+    PAIR = {"c": "1/2", "law": [{"prob": "1", "weights": {"0": "1", "1": "1"}}]}
+
+    @pytest.mark.parametrize("overrides,item,message", [
+        ({"construction": "sushi", "params": PAIR}, {"test": "round_trip", "K_max": 1024},
+         "battery[1].K_max: round_trip compares orbits 1025 steps apart (the "
+         "law's offsets span 1, plus K_max 1024), above 1024"),
+        # the default K_max is twice the law's reach, 1200 here
+        ({"construction": "id", "params": {"c": "1/2", "law": [
+            {"prob": "1", "weights": {"0": "1", "600": "1"}}]}},
+         {"test": "round_trip"}, "battery[1].K_max: round_trip compares orbits "
+         "1800 steps apart"),
+        ({}, {"test": "intensity", "replicates": 10**12},
+         "battery[1].replicates: must be at most 1000000"),
+        ({"replicates": 10**12}, {"test": "intensity", "replicates": 100},
+         "replicates: must be at most 1000000"),
+        ({}, {"test": "cesaro", "windows": ["[0,1)"], "L": 10**8},
+         "battery[1].L: must be an integer in 1..1024"),
+        ({"intensity": "10000", "window": "[0,1000)"}, {"test": "intensity"},
+         "intensity: the mean ground count per replicate, 10000 x length of "
+         "[0,1000), is 1e+07, above 1000000"),
+        ({"intensity": "10000", "window": "[-1,1000)", "construction": "thin"},
+         {"test": "intensity"}, "intensity: the mean ground count"),
+        ({"construction": "sushi", "window": "[0,1000)",
+          "params": {**PAIR, "c": "1000"}}, {"test": "intensity"},
+         "params.c: the mean ground count per replicate, 1000 x length of "
+         "[-1,1000), is 1.001e+06, above 1000000"),
+        ({"construction": "id", "window": "[0,1000)", "intensity": "1000",
+          "params": {"law": PAIR["law"]}}, {"test": "intensity"},
+         "intensity: the mean ground count per replicate, 1000 x length of [-1,1000)"),
+    ])
+    def test_reach_replicates_and_mean_bounded_before_sampling(
+            self, monkeypatch, overrides, item, message):
+        """Each refusal comes at load, at once: before these bounds, such a
+        spec looped for minutes, or ran out of memory, with no field named."""
+        import time
+
+        from sushilab import cluster, experiment
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the spec was validated")
+
+        monkeypatch.setattr(experiment, "Rng", no_sampling)
+        monkeypatch.setattr(cluster, "sample_poisson", no_sampling)
+        d = minimal_spec(battery=[{"test": "intensity"}, item], **overrides)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec.from_dict(d)
+        assert time.monotonic() - start < 5
+
+    def test_bounds_admit_their_limits(self):
+        # a mean of 999 x 1001, a reach of 1 + 1023 and 10**6 replicates
+        d = minimal_spec(construction="sushi", params={**self.PAIR, "c": "999"},
+                         battery=[{"test": "round_trip", "K_max": 1023,
+                                   "replicates": 10**6}],
+                         window="[0,1000)")
+        assert ExperimentSpec.from_dict(d).battery[0]["K_max"] == 1023
+        d = minimal_spec(battery=[{"test": "cesaro", "windows": ["[3,4)"],
+                                   "L": 1024}], window="[-1024,4)")
+        assert ExperimentSpec.from_dict(d).battery[0]["L"] == 1024
+
     def test_orbit_error_mid_run_names_its_item(self):
         # the top level of the stage-12 chacon3 column, inside the space:
         # T^1 resolves at none of its points, so the run fails on the first
